@@ -187,6 +187,9 @@ type runner struct {
 	// salt decorrelates repeated row-granular slice choices (the DGAS
 	// stripes rows across slices at line granularity).
 	salt int64
+	// dmaRelease[c] is core c's DMA queue Release, bound once so that
+	// scheduling a descriptor's slot release allocates nothing.
+	dmaRelease []func()
 }
 
 // rowHome picks the home slice for one row-granular access.
@@ -230,6 +233,10 @@ func (r *runner) launch() {
 	}
 	if r.kind == KindVertexDMA && int64(threads) > int64(r.a.NumVertices) {
 		threads = r.a.NumVertices
+	}
+	r.dmaRelease = make([]func(), len(r.m.DMAs))
+	for i, d := range r.m.DMAs {
+		r.dmaRelease[i] = d.Queue.Release
 	}
 	done := sim.NewBarrier("kernel-done", threads)
 	for t := 0; t < threads; t++ {
@@ -418,7 +425,7 @@ func (r *runner) issueDMA(p *sim.Proc, core int, mtpSrv *sim.Server, block int64
 	if comp > r.finish {
 		r.finish = comp
 	}
-	p.Engine().At(served, eng.Queue.Release)
+	p.Engine().At(served, r.dmaRelease[core])
 }
 
 // flushAtomic writes the accumulated K-wide row back via the remote

@@ -362,3 +362,29 @@ func TestVertexParallelUniformGraphClose(t *testing.T) {
 		t.Fatalf("uniform-graph vertex-parallel at %.2f of edge-parallel, want >= 0.8", ratio)
 	}
 }
+
+// TestKernelAllocationsScaleWithThreads bounds the allocations of one
+// kernel run by the thread count: processes, names and machine set-up
+// allocate, but the per-edge path (sleeps, DMA descriptors, queue
+// waits) must not. The larger graph has 8x the edges of the smaller
+// one and the same bound.
+func TestKernelAllocationsScaleWithThreads(t *testing.T) {
+	small, mid := testGraphs(t)
+	cfg := piuma.DefaultConfig()
+	cfg.Cores = 1
+	threads := cfg.Cores * cfg.MTPsPerCore * cfg.ThreadsPerMTP
+	limit := float64(32*threads + 256)
+	for _, kind := range []Kind{KindLoopUnrolled, KindDMA} {
+		for _, g := range []*graph.CSR{small, mid} {
+			allocs := testing.AllocsPerRun(1, func() {
+				if _, err := Run(kind, cfg, g, 8); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > limit {
+				t.Errorf("%s on %d edges, %d threads: %.0f allocations per run, want <= %.0f",
+					kind, g.NumEdges(), threads, allocs, limit)
+			}
+		}
+	}
+}

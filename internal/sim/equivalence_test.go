@@ -1,0 +1,409 @@
+package sim
+
+import (
+	"fmt"
+	"testing"
+)
+
+// FuzzEngineEquivalence decodes random programs of Spawn, Sleep,
+// SleepUntil, WaitFor, Gate Acquire/Release, Barrier, At/After and
+// spawn-from-process, runs each on Engine and on the goroutine
+// reference engine (refengine_test.go), and requires identical tracer
+// streams, program logs, event counts and deadlock errors.
+func FuzzEngineEquivalence(f *testing.F) {
+	for _, seed := range equivalenceSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		prog := decodeProgram(data)
+		got := runProgram(coroEngine{NewEngine()}, prog)
+		want := runProgram(refEngineAdapter{newRefEngine()}, prog)
+		compareRuns(t, got, want)
+	})
+}
+
+// equivalenceSeeds encode the shapes of the engine tests in
+// sim_test.go (see decodeProgram for the byte layout).
+var equivalenceSeeds = [][]byte{
+	// TestProcessSleep: sleep, sleep, SleepUntil in the past.
+	{0, 0, 0, 0, 0, 3, 0, 7, 0, 5, 1, 3, 0},
+	// TestProcessesInterleaveDeterministically: three sleepers.
+	{0, 0, 0, 0, 2, 3, 0, 2, 0, 2, 0, 2, 3, 0, 2, 0, 2, 0, 2, 3, 0, 2, 0, 2, 0, 2, 0},
+	// TestDeadlockDetection: a WaitFor nobody wakes.
+	{0, 0, 0, 0, 0, 1, 2, 0, 0},
+	// TestGateBoundsConcurrency: six workers, gate of 2, releases by event.
+	{0, 1, 0, 0, 5,
+		3, 4, 0, 8, 4, 0, 4, 3, 4, 0, 8, 4, 0, 4, 3, 4, 0, 8, 4, 0, 4,
+		3, 4, 0, 8, 4, 0, 4, 3, 4, 0, 8, 4, 0, 4, 3, 4, 0, 8, 4, 0, 4, 0},
+	// TestBarrier: three arrivals at different times.
+	{0, 0, 0, 2, 2, 2, 0, 1, 6, 0, 2, 0, 3, 6, 0, 2, 0, 2, 6, 0, 0},
+	// TestSpawnFromProcess: a parent spawns a sleeping child.
+	{0, 0, 0, 0, 1, 3, 0, 5, 9, 1, 0, 7, 1, 0, 5, 0},
+	// TestEventOrdering: same-time events wake waiters in FIFO order.
+	{0, 0, 0, 0, 1, 1, 2, 0, 1, 2, 0, 3, 10, 0, 5, 0, 10, 2},
+	// TestManyProcessesStress: many sleepers with server reservations.
+	{0, 0, 0, 0, 5,
+		4, 0, 1, 10, 3, 0, 2, 10, 4, 4, 0, 1, 10, 3, 0, 2, 10, 4,
+		4, 0, 1, 10, 3, 0, 2, 10, 4, 4, 0, 1, 10, 3, 0, 2, 10, 4,
+		4, 0, 1, 10, 3, 0, 2, 10, 4, 4, 0, 1, 10, 3, 0, 2, 10, 4, 0},
+	// Gate contention with process-side release, a wake hand-off and a
+	// spawn scheduled from an event.
+	{1, 0, 1, 0, 0, 2,
+		4, 4, 0, 0, 3, 5, 0, 2, 0, 4, 4, 1, 0, 1, 11, 2, 5, 1, 3, 7, 2, 4, 1, 1, 0},
+}
+
+// Program interpreter --------------------------------------------------
+
+type fzOp struct{ kind, arg byte }
+
+type fzProgram struct {
+	gateCaps     []int
+	barrierSizes []int
+	bodies       [][]fzOp
+	// events are top-level At events: kind is the time, arg the action.
+	events []fzOp
+}
+
+// decodeProgram reads, in order: the gate count and capacities, the
+// barrier count and sizes, the body count and each body (an op count,
+// then kind/arg byte pairs), and the top-level event count and events
+// (time/action pairs). Missing bytes read as zero, so every input is a
+// valid program.
+func decodeProgram(data []byte) fzProgram {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	var prog fzProgram
+	for n := 1 + int(next()%3); n > 0; n-- {
+		prog.gateCaps = append(prog.gateCaps, 1+int(next()%3))
+	}
+	for n := 1 + int(next()%2); n > 0; n-- {
+		prog.barrierSizes = append(prog.barrierSizes, 1+int(next()%4))
+	}
+	for n := 1 + int(next()%6); n > 0; n-- {
+		body := []fzOp{}
+		for k := next() % 16; k > 0; k-- {
+			body = append(body, fzOp{next(), next()})
+		}
+		prog.bodies = append(prog.bodies, body)
+	}
+	for n := next() % 4; n > 0; n-- {
+		prog.events = append(prog.events, fzOp{next(), next()})
+	}
+	return prog
+}
+
+// fzRun is one execution of a program on one engine. When the first Run
+// ends in a deadlock, drain unblocks every process so that neither
+// engine leaks a goroutine per fuzz input; the drain is traced and
+// compared like the rest of the run.
+type fzRun struct {
+	e        fzEngine
+	prog     fzProgram
+	gates    []fzGate
+	barriers []fzBarrier
+	servers  []*Server
+	// waiting counts processes inside Gate.Acquire, arrived the
+	// arrivals at each barrier.
+	waiting  []int
+	arrived  []int
+	mailbox  []func()
+	draining bool
+	log      []string
+}
+
+type fzResult struct {
+	trace      []traceRec
+	log        []string
+	events     int64
+	err, drain string
+}
+
+func runProgram(e fzEngine, prog fzProgram) fzResult {
+	tr := &recTracer{}
+	e.SetTracer(tr)
+	st := &fzRun{e: e, prog: prog}
+	for i, c := range prog.gateCaps {
+		st.gates = append(st.gates, e.newGate(fmt.Sprintf("g%d", i), c))
+	}
+	for i, n := range prog.barrierSizes {
+		st.barriers = append(st.barriers, e.newBarrier(fmt.Sprintf("b%d", i), n))
+	}
+	for i := 0; i < 2; i++ {
+		s := &Server{Name: fmt.Sprintf("s%d", i)}
+		s.SetTracer(tr)
+		st.servers = append(st.servers, s)
+	}
+	st.waiting = make([]int, len(st.gates))
+	st.arrived = make([]int, len(st.barriers))
+	for _, ev := range prog.events {
+		e.At(Time(ev.kind%32), func() { st.event(ev.arg) })
+	}
+	for i := range prog.bodies {
+		st.spawn(fmt.Sprintf("p%d", i), i, 0)
+	}
+	res := fzResult{err: errString(e.Run())}
+	if res.err != "" {
+		st.draining = true
+		e.At(e.Now(), st.drain)
+		res.drain = errString(e.Run())
+	}
+	res.trace, res.log, res.events = tr.recs, st.log, e.Events()
+	return res
+}
+
+func (st *fzRun) logf(format string, args ...any) {
+	st.log = append(st.log, fmt.Sprintf("%d ", st.e.Now())+fmt.Sprintf(format, args...))
+}
+
+func (st *fzRun) spawn(name string, body, depth int) {
+	st.e.Spawn(name, func(p fzProc) { st.runBody(p, name, body, depth) })
+}
+
+func (st *fzRun) event(action byte) {
+	st.logf("event %d", action)
+	switch action % 3 {
+	case 0:
+		st.wakeOne()
+	case 1:
+		st.spawn(fmt.Sprintf("ev%d", action), int(action/3)%len(st.prog.bodies), 1)
+	}
+}
+
+func (st *fzRun) wakeOne() {
+	if len(st.mailbox) == 0 {
+		return
+	}
+	wake := st.mailbox[0]
+	st.mailbox = st.mailbox[1:]
+	wake()
+}
+
+func (st *fzRun) runBody(p fzProc, name string, body, depth int) {
+	held := make([]int, len(st.gates))
+	for i, op := range st.prog.bodies[body] {
+		if st.draining {
+			return
+		}
+		st.logf("%s op %d/%d", name, op.kind%12, op.arg)
+		g := int(op.arg) % len(st.gates)
+		switch op.kind % 12 {
+		case 0:
+			p.Sleep(Time(op.arg % 8))
+		case 1:
+			p.SleepUntil(Time(op.arg % 32))
+		case 2:
+			p.WaitFor(func(wake func()) { st.mailbox = append(st.mailbox, wake) })
+		case 3:
+			st.wakeOne()
+		case 4:
+			st.waiting[g]++
+			st.gates[g].Acquire(p)
+			st.waiting[g]--
+			held[g]++
+		case 5:
+			if held[g] > 0 {
+				held[g]--
+				st.gates[g].Release()
+			}
+		case 6:
+			b := int(op.arg) % len(st.barriers)
+			if st.arrived[b] < st.prog.barrierSizes[b] {
+				st.arrived[b]++
+				st.barriers[b].Wait(p)
+			}
+		case 7:
+			st.e.After(Time(op.arg%8), st.wakeOne)
+		case 8:
+			if held[g] > 0 {
+				held[g]--
+				st.e.After(Time(op.arg%8), st.gates[g].Release)
+			}
+		case 9:
+			if depth < 2 {
+				st.spawn(fmt.Sprintf("%s.%d", name, i), int(op.arg)%len(st.prog.bodies), depth+1)
+			}
+		case 10:
+			st.servers[op.arg%2].Reserve(p.Now(), Time(op.arg%5))
+		case 11:
+			if depth < 2 {
+				child := fmt.Sprintf("%s.e%d", name, i)
+				st.e.After(Time(op.arg%8), func() { st.spawn(child, int(op.arg)%len(st.prog.bodies), depth+1) })
+			}
+		}
+	}
+	if st.draining {
+		return
+	}
+	for g, n := range held {
+		for ; n > 0; n-- {
+			st.gates[g].Release()
+		}
+	}
+}
+
+// drain wakes every blocked process: mailbox waiters, gate waiters (by
+// releasing on their behalf) and barrier waiters (by spawning the
+// missing arrivals). Woken processes see draining and return.
+func (st *fzRun) drain() {
+	for len(st.mailbox) > 0 {
+		st.wakeOne()
+	}
+	for g, gate := range st.gates {
+		for st.waiting[g] > 0 {
+			gate.Release()
+		}
+	}
+	for b, barrier := range st.barriers {
+		if st.arrived[b] == 0 {
+			continue
+		}
+		for k := st.arrived[b]; k < st.prog.barrierSizes[b]; k++ {
+			st.arrived[b]++
+			st.e.Spawn(fmt.Sprintf("fill%d.%d", b, k), func(p fzProc) { barrier.Wait(p) })
+		}
+	}
+}
+
+func compareRuns(t *testing.T, got, want fzResult) {
+	t.Helper()
+	if got.err != want.err {
+		t.Fatalf("Run error = %q, reference %q", got.err, want.err)
+	}
+	if want.drain != "" {
+		t.Fatalf("drain left processes blocked: %s", want.drain)
+	}
+	if got.drain != want.drain {
+		t.Fatalf("drain Run error = %q, reference %q", got.drain, want.drain)
+	}
+	if got.events != want.events {
+		t.Errorf("Events() = %d, reference %d", got.events, want.events)
+	}
+	if i := firstDiff(got.trace, want.trace); i >= 0 {
+		t.Errorf("tracer streams diverge at record %d of %d/%d: %s vs reference %s",
+			i, len(got.trace), len(want.trace), at(got.trace, i), at(want.trace, i))
+	}
+	if i := firstDiff(got.log, want.log); i >= 0 {
+		t.Errorf("program logs diverge at line %d of %d/%d: %s vs reference %s",
+			i, len(got.log), len(want.log), at(got.log, i), at(want.log, i))
+	}
+}
+
+func firstDiff[T comparable](a, b []T) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+func at[T any](s []T, i int) string {
+	if i >= len(s) {
+		return "<end>"
+	}
+	return fmt.Sprint(s[i])
+}
+
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// recTracer records every callback in order.
+type recTracer struct{ recs []traceRec }
+
+type traceRec struct {
+	kind       byte
+	t1, t2     Time
+	name, what string
+}
+
+func (r *recTracer) Event(t Time) { r.recs = append(r.recs, traceRec{kind: 'E', t1: t}) }
+func (r *recTracer) Process(t Time, name, kind string) {
+	r.recs = append(r.recs, traceRec{kind: 'P', t1: t, name: name, what: kind})
+}
+func (r *recTracer) Reserve(res string, start, end Time) {
+	r.recs = append(r.recs, traceRec{kind: 'R', t1: start, t2: end, name: res})
+}
+func (r *recTracer) Span(track, name string, start, end Time) {
+	r.recs = append(r.recs, traceRec{kind: 'S', t1: start, t2: end, name: track, what: name})
+}
+
+// Engine adapters -------------------------------------------------------
+
+// fzEngine is the surface the interpreter drives, implemented over both
+// Engine and the reference engine.
+type fzEngine interface {
+	Now() Time
+	At(t Time, fn func())
+	After(d Time, fn func())
+	Spawn(name string, body func(fzProc))
+	Run() error
+	Events() int64
+	SetTracer(Tracer)
+	newGate(name string, cap int) fzGate
+	newBarrier(name string, n int) fzBarrier
+}
+
+type fzProc interface {
+	Now() Time
+	Sleep(d Time)
+	SleepUntil(t Time)
+	WaitFor(register func(wake func()))
+}
+
+type fzGate interface {
+	Acquire(p fzProc)
+	Release()
+}
+
+type fzBarrier interface{ Wait(p fzProc) }
+
+type coroEngine struct{ *Engine }
+
+func (e coroEngine) Spawn(name string, body func(fzProc)) {
+	e.Engine.Spawn(name, func(p *Proc) { body(p) })
+}
+func (e coroEngine) newGate(name string, cap int) fzGate { return coroGate{NewGate(name, cap)} }
+func (e coroEngine) newBarrier(name string, n int) fzBarrier {
+	return coroBarrier{NewBarrier(name, n)}
+}
+
+type coroGate struct{ *Gate }
+
+func (g coroGate) Acquire(p fzProc) { g.Gate.Acquire(p.(*Proc)) }
+
+type coroBarrier struct{ *Barrier }
+
+func (b coroBarrier) Wait(p fzProc) { b.Barrier.Wait(p.(*Proc)) }
+
+type refEngineAdapter struct{ *refEngine }
+
+func (e refEngineAdapter) Spawn(name string, body func(fzProc)) {
+	e.refEngine.Spawn(name, func(p *refProc) { body(p) })
+}
+func (e refEngineAdapter) newGate(name string, cap int) fzGate {
+	return refGateAdapter{newRefGate(name, cap)}
+}
+func (e refEngineAdapter) newBarrier(name string, n int) fzBarrier {
+	return refBarrierAdapter{newRefBarrier(name, n)}
+}
+
+type refGateAdapter struct{ *refGate }
+
+func (g refGateAdapter) Acquire(p fzProc) { g.refGate.Acquire(p.(*refProc)) }
+
+type refBarrierAdapter struct{ *refBarrier }
+
+func (b refBarrierAdapter) Wait(p fzProc) { b.refBarrier.Wait(p.(*refProc)) }

@@ -1,20 +1,21 @@
 // Package sim is a deterministic discrete-event simulation engine. It is
 // the substrate under internal/piuma, standing in for the proprietary
 // PIUMA architecture simulator the paper used: components are modeled as
-// processes (goroutines driven by the engine, exactly one runnable at a
+// processes (coroutines driven by the engine, exactly one runnable at a
 // time) and contended resources (FIFO bandwidth servers), and time
 // advances event-to-event rather than cycle-by-cycle so that graphs with
 // millions of edges simulate in seconds.
 //
 // Determinism: the engine orders simultaneous events by scheduling
 // sequence number, and only one process ever executes at a time (the
-// engine hands control to a process and waits for it to park), so a
-// given program produces an identical event trace on every run.
+// engine resumes a process's coroutine and runs nothing else until it
+// yields back), so a given program produces an identical event trace on
+// every run.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"sort"
 )
 
@@ -37,43 +38,81 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Nanoseconds converts a simulated duration to float nanoseconds.
 func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
 
+// event is one scheduled dispatch: a process wake-up when p is set,
+// otherwise a call to fn. Carrying the process itself keeps a sleep
+// free of a per-wake-up closure.
 type event struct {
 	t   Time
 	seq int64
+	p   *Proc
 	fn  func()
 }
 
+func (a event) before(b event) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap ordered by (t, seq). It is typed so
+// that pushing an event never boxes it into an interface.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q[i].before(q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	*h = q
 }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) Peek() event        { return h[0] }
-func (h *eventHeap) PushEvent(e event) { heap.Push(h, e) }
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q[last] = event{}
+	q = q[:last]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < last && q[l].before(q[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < last && q[r].before(q[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
+}
 
 // Engine owns the event queue and the simulated clock.
 type Engine struct {
-	now       Time
-	events    eventHeap
-	seq       int64
-	nEvents   int64
-	liveProcs int
-	parked    map[*Proc]struct{}
-	running   bool
-	tracer    Tracer
+	now     Time
+	events  eventHeap
+	seq     int64
+	nEvents int64
+	// live holds the spawned processes that have not finished, each at
+	// its Proc.live index, for deadlock reporting.
+	live    []*Proc
+	running bool
+	tracer  Tracer
 }
 
 // NewEngine returns an engine at time zero.
-func NewEngine() *Engine {
-	return &Engine{parked: make(map[*Proc]struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -82,13 +121,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Events() int64 { return e.nEvents }
 
 // At schedules fn to run at absolute time t (panics if t is in the past).
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
-	}
-	e.seq++
-	e.events.PushEvent(event{t: t, seq: e.seq, fn: fn})
-}
+func (e *Engine) At(t Time, fn func()) { e.schedule(t, nil, fn) }
 
 // After schedules fn to run delay from now.
 func (e *Engine) After(delay Time, fn func()) {
@@ -98,101 +131,116 @@ func (e *Engine) After(delay Time, fn func()) {
 	e.At(e.now+delay, fn)
 }
 
+// schedule queues the wake-up of p, or the call of fn, at time t.
+func (e *Engine) schedule(t Time, p *Proc, fn func()) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
+	}
+	e.seq++
+	e.events.push(event{t: t, seq: e.seq, p: p, fn: fn})
+}
+
 // Run processes events until the queue is empty. It returns an error if
 // any spawned process is still blocked when the queue drains (a
-// deadlock: some wake-up was never scheduled).
+// deadlock: some wake-up was never scheduled). A panic in an event
+// function or a process propagates out of Run on the caller's goroutine.
 func (e *Engine) Run() error {
 	if e.running {
 		return fmt.Errorf("sim: Run called reentrantly")
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for e.events.Len() > 0 {
-		ev := heap.Pop(&e.events).(event)
+	for len(e.events) > 0 {
+		ev := e.events.pop()
 		e.now = ev.t
 		e.nEvents++
 		if e.tracer != nil {
 			e.tracer.Event(e.now)
 		}
-		ev.fn()
-	}
-	if e.liveProcs > 0 {
-		// Sorted so the deadlock report is deterministic: map iteration
-		// order must never reach engine output (piumalint: determinism).
-		names := make([]string, 0, len(e.parked))
-		for p := range e.parked {
-			names = append(names, p.Name)
+		if ev.p != nil {
+			e.activate(ev.p)
+		} else {
+			ev.fn()
 		}
-		sort.Strings(names)
-		return fmt.Errorf("sim: deadlock, %d process(es) still blocked: %v", e.liveProcs, names)
 	}
-	return nil
+	e.events = nil
+	if len(e.live) == 0 {
+		e.live = nil
+		return nil
+	}
+	names := make([]string, len(e.live))
+	for i, p := range e.live {
+		names[i] = p.Name
+	}
+	sort.Strings(names)
+	return fmt.Errorf("sim: deadlock, %d process(es) still blocked: %v", len(e.live), names)
 }
 
-// Proc is a simulated process. The function passed to Spawn runs on its
-// own goroutine but is only ever runnable while the engine is handing it
-// control, so processes may freely read and write shared simulation
-// state without locks.
+// Proc is a simulated process. The function passed to Spawn runs as a
+// coroutine (iter.Pull): the engine transfers control to it and it
+// returns control when it blocks or finishes, so exactly one process
+// runs at a time and processes may freely read and write shared
+// simulation state without locks.
+//
+// A panic inside a process body unwinds the process and comes out of
+// Engine.Run on the caller's goroutine, where it can be recovered. A
+// recover deferred inside the body itself still catches it first.
 type Proc struct {
 	Name string
 	eng  *Engine
-	// resume: engine -> process ("you may run"); park: process ->
-	// engine ("I am blocked or finished").
-	resume   chan struct{}
-	park     chan struct{}
-	finished bool
+	// next runs the body until it yields (blocks) or returns; yield,
+	// called from inside the body, hands control back to the engine.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	// wake resumes the process; WaitFor hands it out.
+	wake func()
+	// live is the index of the process in Engine.live.
+	live int
 }
 
 // Spawn creates a process and schedules its first activation at the
 // current time. fn must only block via the Proc's own primitives.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{
-		Name:   name,
-		eng:    e,
-		resume: make(chan struct{}),
-		park:   make(chan struct{}),
-	}
-	e.liveProcs++
+	p := &Proc{Name: name, eng: e, live: len(e.live)}
+	p.wake = func() { e.activate(p) }
+	// The stop func is not kept: a body that returns ends its coroutine,
+	// and Run reports a body that never does as deadlocked.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		fn(p)
+	})
+	e.live = append(e.live, p)
 	if e.tracer != nil {
 		e.tracer.Process(e.now, name, "spawn")
 	}
-	go func() {
-		<-p.resume
-		fn(p)
-		p.finished = true
-		p.park <- struct{}{}
-	}()
-	e.After(0, func() { e.activate(p) })
+	e.schedule(e.now, p, nil)
 	return p
 }
 
-// activate transfers control to p until it parks or finishes. Must be
-// called from the engine goroutine (i.e. from an event function).
+// activate transfers control to p until it blocks or finishes. Must be
+// called from engine context (an event function or another process).
 func (e *Engine) activate(p *Proc) {
-	delete(e.parked, p)
 	if e.tracer != nil {
 		e.tracer.Process(e.now, p.Name, "resume")
 	}
-	p.resume <- struct{}{}
-	<-p.park
-	if p.finished {
-		e.liveProcs--
-		if e.tracer != nil {
-			e.tracer.Process(e.now, p.Name, "finish")
-		}
-	} else {
-		e.parked[p] = struct{}{}
+	if _, blocked := p.next(); blocked {
 		if e.tracer != nil {
 			e.tracer.Process(e.now, p.Name, "park")
 		}
+		return
+	}
+	last := len(e.live) - 1
+	e.live[p.live] = e.live[last]
+	e.live[p.live].live = p.live
+	e.live[last] = nil
+	e.live = e.live[:last]
+	if e.tracer != nil {
+		e.tracer.Process(e.now, p.Name, "finish")
 	}
 }
 
-// suspend parks the process until the engine reactivates it.
-func (p *Proc) suspend() {
-	p.park <- struct{}{}
-	<-p.resume
-}
+// suspend hands control back to the engine until p is reactivated.
+func (p *Proc) suspend() { p.yield(struct{}{}) }
 
 // Engine returns the engine driving this process.
 func (p *Proc) Engine() *Engine { return p.eng }
@@ -214,7 +262,7 @@ func (p *Proc) SleepUntil(t Time) {
 	if t <= p.eng.now {
 		return
 	}
-	p.eng.At(t, func() { p.eng.activate(p) })
+	p.eng.schedule(t, p, nil)
 	p.suspend()
 }
 
@@ -223,7 +271,7 @@ func (p *Proc) SleepUntil(t Time) {
 // process) to resume it. It is the building block for queues, barriers
 // and condition-style waits.
 func (p *Proc) WaitFor(register func(wake func())) {
-	register(func() { p.eng.activate(p) })
+	register(p.wake)
 	p.suspend()
 }
 
@@ -289,7 +337,7 @@ type Gate struct {
 	Name    string
 	cap     int
 	held    int
-	waiters []func()
+	waiters procQueue
 }
 
 // NewGate returns a gate admitting cap concurrent holders.
@@ -306,9 +354,8 @@ func (g *Gate) Acquire(p *Proc) {
 		g.held++
 		return
 	}
-	p.WaitFor(func(wake func()) {
-		g.waiters = append(g.waiters, wake)
-	})
+	g.waiters.push(p)
+	p.suspend()
 	// The releaser incremented held on our behalf before waking us.
 }
 
@@ -318,11 +365,10 @@ func (g *Gate) Release() {
 	if g.held <= 0 {
 		panic("sim: release of unheld gate")
 	}
-	if len(g.waiters) > 0 {
-		wake := g.waiters[0]
-		g.waiters = g.waiters[1:]
+	if g.waiters.n > 0 {
 		// held stays the same: the slot transfers to the waiter.
-		wake()
+		p := g.waiters.pop()
+		p.eng.activate(p)
 		return
 	}
 	g.held--
@@ -331,6 +377,33 @@ func (g *Gate) Release() {
 // Held returns the number of currently held slots.
 func (g *Gate) Held() int { return g.held }
 
+// procQueue is a FIFO of blocked processes on a ring buffer, so a
+// queue that fills and drains repeatedly reuses its storage.
+type procQueue struct {
+	buf  []*Proc
+	head int
+	n    int
+}
+
+func (q *procQueue) push(p *Proc) {
+	if q.n == len(q.buf) {
+		grown := make([]*Proc, max(4, 2*len(q.buf)))
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = p
+	q.n++
+}
+
+func (q *procQueue) pop() *Proc {
+	p := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return p
+}
+
 // Barrier releases all waiting processes once n of them have arrived —
 // the global-collective offload of the PIUMA cores, used to time kernel
 // completion.
@@ -338,7 +411,7 @@ type Barrier struct {
 	Name    string
 	n       int
 	arrived int
-	waiters []func()
+	waiters []*Proc
 }
 
 // NewBarrier returns a barrier for n participants.
@@ -357,13 +430,12 @@ func (b *Barrier) Wait(p *Proc) {
 		panic(fmt.Sprintf("sim: barrier %q overflow (%d arrivals for %d parties)", b.Name, b.arrived, b.n))
 	}
 	if b.arrived == b.n {
-		for _, wake := range b.waiters {
-			wake()
+		for _, w := range b.waiters {
+			w.eng.activate(w)
 		}
 		b.waiters = nil
 		return
 	}
-	p.WaitFor(func(wake func()) {
-		b.waiters = append(b.waiters, wake)
-	})
+	b.waiters = append(b.waiters, p)
+	p.suspend()
 }

@@ -268,6 +268,32 @@ func TestBarrierOverflowPanics(t *testing.T) {
 	}
 }
 
+// TestProcessPanicPropagatesFromRun pins where a panic inside a process
+// body goes. TestBarrierOverflowPanics covers a recover deferred inside
+// the body; without one, the panic unwinds the process and comes out of
+// Engine.Run on the caller's goroutine, where it can be recovered.
+func TestProcessPanicPropagatesFromRun(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("boom", func(p *Proc) {
+		p.Sleep(5)
+		panic("boom")
+	})
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		_ = e.Run()
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("recovered %v from Run, want the process's panic value", got)
+	}
+	if e.Now() != 5 {
+		t.Fatalf("panic surfaced at t=%d, want 5", e.Now())
+	}
+	if e.running {
+		t.Fatal("Run left its reentrancy guard set while unwinding")
+	}
+}
+
 func TestSpawnFromProcess(t *testing.T) {
 	e := NewEngine()
 	childRan := false
@@ -308,6 +334,7 @@ func TestManyProcessesStress(t *testing.T) {
 }
 
 func BenchmarkEngineEvents(b *testing.B) {
+	b.ReportAllocs()
 	e := NewEngine()
 	var tick func()
 	n := 0
@@ -324,6 +351,7 @@ func BenchmarkEngineEvents(b *testing.B) {
 }
 
 func BenchmarkProcessSwitch(b *testing.B) {
+	b.ReportAllocs()
 	e := NewEngine()
 	e.Spawn("p", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
@@ -346,5 +374,77 @@ func TestRunReentrancyRejected(t *testing.T) {
 	}
 	if innerErr == nil {
 		t.Fatal("expected error for reentrant Run")
+	}
+}
+
+// The engine hot paths allocate nothing: a process sleep round trip
+// (schedule, dispatch, coroutine switch there and back), an At-scheduled
+// event, and a contended Gate hand-off. Each is measured from inside a
+// running process so the engine keeps running between iterations.
+func TestSleepAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	var allocs float64
+	e.Spawn("sleeper", func(p *Proc) {
+		allocs = testing.AllocsPerRun(1000, func() { p.Sleep(1) })
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("Sleep round trip allocates %.1f objects, want 0", allocs)
+	}
+}
+
+func TestAtEventAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	tick := func() { fired++ }
+	var allocs float64
+	e.Spawn("scheduler", func(p *Proc) {
+		allocs = testing.AllocsPerRun(1000, func() {
+			e.At(p.Now()+1, tick)
+			p.Sleep(1)
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 1001 {
+		t.Fatalf("fired %d events, want 1001", fired)
+	}
+	if allocs != 0 {
+		t.Fatalf("At-scheduled event allocates %.1f objects, want 0", allocs)
+	}
+}
+
+func TestContendedGateAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	g := NewGate("g", 1)
+	done := false
+	cycle := func(p *Proc) {
+		g.Acquire(p)
+		p.Sleep(1)
+		g.Release()
+	}
+	e.Spawn("holder", func(p *Proc) {
+		for !done {
+			cycle(p)
+		}
+	})
+	var allocs float64
+	e.Spawn("measured", func(p *Proc) {
+		allocs = testing.AllocsPerRun(1000, func() { cycle(p) })
+		done = true
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Every cycle after the first waits for the holder's slot: each
+	// Acquire blocks and each Release hands the slot to the other side.
+	if e.Now() < 2000 {
+		t.Fatalf("gate was not contended: finished at t=%d", e.Now())
+	}
+	if allocs != 0 {
+		t.Fatalf("contended Gate Acquire/Release allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -6,18 +6,20 @@
 # other artifact.
 #
 # Usage: scripts/bench_trend.sh [packages...]
-#        (default: the load-generator, store, gossip-codec and
-#        gate-submit hot paths)
+#        (default: the load-generator, store, gossip-codec,
+#        gate-submit and lint hot paths, plus the simulation engine
+#        and the simulated kernels)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 OUT="BENCH_TREND.json"
 PKGS=("$@")
 if [ ${#PKGS[@]} -eq 0 ]; then
-    PKGS=(./internal/workload/ ./internal/store/ ./internal/gossip/ ./internal/gate/ ./internal/lint/)
+    PKGS=(./internal/workload/ ./internal/store/ ./internal/gossip/ ./internal/gate/ ./internal/lint/ ./internal/sim/ ./internal/piuma/kernels/)
 fi
 
-COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+# A record taken from an uncommitted tree is marked "-dirty".
+COMMIT=$(git describe --always --dirty --abbrev=7 2>/dev/null || echo unknown)
 DATE=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 GOVER=$(go env GOVERSION)
 
