@@ -44,8 +44,8 @@ func NewCheckpoint() *Checkpoint {
 
 type checkpointKey struct{}
 
-// WithCheckpoint returns a context carrying cp; experiment helpers
-// (runKernel and friends) consult it to skip already-completed points.
+// WithCheckpoint returns a context carrying cp; the experiments' sweeps
+// consult it to skip already-completed points.
 func WithCheckpoint(ctx context.Context, cp *Checkpoint) context.Context {
 	return context.WithValue(ctx, checkpointKey{}, cp)
 }

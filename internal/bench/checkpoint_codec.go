@@ -43,7 +43,7 @@ var (
 // RegisterCheckpointKind teaches the checkpoint codec to round-trip
 // values of type T under the given kind name, so a journaled point
 // decodes back to the concrete type its experiment stored (and the
-// resume fast path in runKernel's type assertion keeps hitting).
+// resume fast path in sweep's type assertion keeps hitting).
 // Registering a duplicate kind or type panics: it is a wiring bug.
 func RegisterCheckpointKind[T any](kind string) {
 	codecMu.Lock()

@@ -62,27 +62,32 @@ func runExtDegraded(ctx context.Context, o Options) (*Report, error) {
 		k = 16
 	}
 
+	sevs := degradedSeverities(o)
+	specs := make([]faults.Spec, len(sevs))
+	pts := make([]point, len(sevs))
+	for i, sev := range sevs {
+		specs[i] = base.Scale(sev)
+		pts[i] = point{label: fmt.Sprintf("ext-degraded dma sev=%.2f K=%d", sev, k),
+			cfg: cfg, kind: kernels.KindDMA, k: k, faults: &specs[i]}
+	}
+	res, err := sweepKernels(ctx, g, pts)
+	if err != nil {
+		return nil, err
+	}
+
 	tb := &textplot.Table{Headers: []string{
 		"severity", "dead cores", "dead MTPs", "derated", "net", "loss", "GFLOPS", "slowdown", "slice util"}}
 	var xs []string
 	var slowdown []float64
 	baseline := 0.0
-	for _, sev := range degradedSeverities(o) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		spec := base.Scale(sev)
-		res, err := runFaultyKernel(ctx, fmt.Sprintf("ext-degraded dma sev=%.2f K=%d", sev, k),
-			kernels.KindDMA, cfg, &spec, g, k)
-		if err != nil {
-			return nil, err
-		}
+	for i, got := range res {
+		sev, spec := sevs[i], specs[i]
 		if sev == 0 {
-			baseline = res.Elapsed.Seconds()
+			baseline = got.Elapsed.Seconds()
 		}
 		slow := 1.0
 		if baseline > 0 {
-			slow = res.Elapsed.Seconds() / baseline
+			slow = got.Elapsed.Seconds() / baseline
 		}
 		inj, err := faults.New(spec, cfg.Cores, cfg.MTPsPerCore)
 		if err != nil {
@@ -98,9 +103,9 @@ func runExtDegraded(ctx context.Context, o Options) (*Report, error) {
 			fmt.Sprintf("%d", inj.DeratedSliceCount()),
 			net,
 			fmt.Sprintf("%.2g", spec.LossRate),
-			fmt.Sprintf("%.1f", res.GFLOPS),
+			fmt.Sprintf("%.1f", got.GFLOPS),
 			fmt.Sprintf("%.2fx", slow),
-			fmt.Sprintf("%.0f%%", 100*res.AvgSliceUtilization))
+			fmt.Sprintf("%.0f%%", 100*got.AvgSliceUtilization))
 		xs = append(xs, fmt.Sprintf("%.2f", sev))
 		slowdown = append(slowdown, slow)
 	}

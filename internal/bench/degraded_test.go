@@ -87,9 +87,9 @@ func TestExtDegradedResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRunKernelCheckpoints: the generic kernel helper checkpoints its
-// result and skips the simulation on a hit.
-func TestRunKernelCheckpoints(t *testing.T) {
+// TestSweepKernelsCheckpoints: the kernel sweep checkpoints its result
+// and skips the simulation on a hit.
+func TestSweepKernelsCheckpoints(t *testing.T) {
 	g, err := simGraph(QuickOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -98,21 +98,22 @@ func TestRunKernelCheckpoints(t *testing.T) {
 	ctx := WithCheckpoint(context.Background(), cp)
 	cfg := piuma.DefaultConfig()
 	cfg.Cores = 2
-	a, err := runKernel(ctx, "cp-test", kernels.KindDMA, cfg, g, 8)
+	pts := []point{{label: "cp-test", cfg: cfg, kind: kernels.KindDMA, k: 8}}
+	a, err := sweepKernels(ctx, g, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cp.Len() != 1 {
 		t.Fatalf("Len = %d after one kernel", cp.Len())
 	}
-	b, err := runKernel(ctx, "cp-test", kernels.KindDMA, cfg, g, 8)
+	b, err := sweepKernels(ctx, g, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cp.Reused() != 1 {
 		t.Fatalf("Reused = %d, want 1", cp.Reused())
 	}
-	if a != b {
-		t.Fatalf("checkpointed result diverged: %+v vs %+v", a, b)
+	if a[0] != b[0] {
+		t.Fatalf("checkpointed result diverged: %+v vs %+v", a[0], b[0])
 	}
 }

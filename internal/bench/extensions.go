@@ -248,22 +248,26 @@ func runExtVertexPar(ctx context.Context, o Options) (*Report, error) {
 	if o.Quick {
 		coreSet = []int{8}
 	}
-	tb := &textplot.Table{Headers: []string{"cores", "K", "edge-par GF", "vertex-par GF", "edge/vertex", "edge barrier", "vertex barrier"}}
+	dims := []int{8, 256}
+	var pts []point
 	for _, c := range coreSet {
-		for _, k := range []int{8, 256} {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		for _, k := range dims {
 			cfg := piuma.DefaultConfig()
 			cfg.Cores = c
-			edge, err := runKernel(ctx, fmt.Sprintf("ext-vertexpar edge c=%d K=%d", c, k), kernels.KindDMA, cfg, g, k)
-			if err != nil {
-				return nil, err
-			}
-			vertex, err := runKernel(ctx, fmt.Sprintf("ext-vertexpar vertex c=%d K=%d", c, k), kernels.KindVertexDMA, cfg, g, k)
-			if err != nil {
-				return nil, err
-			}
+			pts = append(pts,
+				point{label: fmt.Sprintf("ext-vertexpar edge c=%d K=%d", c, k), cfg: cfg, kind: kernels.KindDMA, k: k},
+				point{label: fmt.Sprintf("ext-vertexpar vertex c=%d K=%d", c, k), cfg: cfg, kind: kernels.KindVertexDMA, k: k})
+		}
+	}
+	res, err := sweepKernels(ctx, g, pts)
+	if err != nil {
+		return nil, err
+	}
+	tb := &textplot.Table{Headers: []string{"cores", "K", "edge-par GF", "vertex-par GF", "edge/vertex", "edge barrier", "vertex barrier"}}
+	for _, c := range coreSet {
+		for _, k := range dims {
+			edge, vertex := res[0], res[1]
+			res = res[2:]
 			tb.AddRow(fmt.Sprintf("%d", c), fmt.Sprintf("%d", k),
 				fmt.Sprintf("%.1f", edge.GFLOPS), fmt.Sprintf("%.1f", vertex.GFLOPS),
 				fmt.Sprintf("%.2fx", edge.GFLOPS/vertex.GFLOPS),
@@ -293,24 +297,24 @@ func runExtRandomWalk(ctx context.Context, o Options) (*Report, error) {
 		threads = []int{1, 16}
 		steps = 10
 	}
-	tb := &textplot.Table{Headers: []string{"thr/MTP", "walkers", "Msteps/s @45ns", "@720ns", "retained"}}
+	var pts []point
 	for _, th := range threads {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		cfg := piuma.DefaultConfig()
 		cfg.Cores = 4
 		cfg.ThreadsPerMTP = th
-		fast, err := runWalk(ctx, fmt.Sprintf("ext-randomwalk thr=%d lat=45ns", th), cfg, g, steps)
-		if err != nil {
-			return nil, err
-		}
 		slow := cfg
 		slow.DRAMLatency = 720 * sim.Nanosecond
-		lat, err := runWalk(ctx, fmt.Sprintf("ext-randomwalk thr=%d lat=720ns", th), slow, g, steps)
-		if err != nil {
-			return nil, err
-		}
+		pts = append(pts,
+			point{label: fmt.Sprintf("ext-randomwalk thr=%d lat=45ns", th), cfg: cfg, k: steps},
+			point{label: fmt.Sprintf("ext-randomwalk thr=%d lat=720ns", th), cfg: slow, k: steps})
+	}
+	res, err := sweepWalks(ctx, g, pts)
+	if err != nil {
+		return nil, err
+	}
+	tb := &textplot.Table{Headers: []string{"thr/MTP", "walkers", "Msteps/s @45ns", "@720ns", "retained"}}
+	for i, th := range threads {
+		fast, lat := res[2*i], res[2*i+1]
 		tb.AddRow(fmt.Sprintf("%d", th), fmt.Sprintf("%d", fast.Walkers),
 			fmt.Sprintf("%.2f", fast.StepsPerSecond/1e6),
 			fmt.Sprintf("%.2f", lat.StepsPerSecond/1e6),

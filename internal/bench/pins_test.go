@@ -11,6 +11,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"reflect"
 	"testing"
 
 	"piumagcn/internal/obs"
@@ -40,6 +41,12 @@ var outputPins = []struct {
 	{"ext-degraded",
 		"07773881f691d643a86b49b87625b4b920bdd4a6ecf4fc597895aece2c1c9cfb",
 		"6295ba7870cf727931646ea28320b8fbb9e9f6a67094202b227928b0772b48b6"},
+	{"ext-vertexpar",
+		"ccabbdada9bb1adb018cd2ca4d2a2bab2c61706ed489aaeb6050c242eae97581",
+		"f27560568680fecb89a3713c8d349ee18fe1bb421df38a0a4078bee519264246"},
+	{"ext-randomwalk",
+		"b19dd1034ee50e104ab431d8947a0b2c90f234ceb21281d845f76c13a8e928f9",
+		"d9e1cb98da52aadd058e33dcdd9a8c7063f0dd68dfba7c3fdb527bde31d5a296"},
 }
 
 func TestOutputPins(t *testing.T) {
@@ -63,6 +70,50 @@ func TestOutputPins(t *testing.T) {
 			}
 			if got := sha256Hex(trace.Bytes()); got != pin.trace {
 				t.Errorf("Chrome trace hash = %s, want %s", got, pin.trace)
+			}
+		})
+	}
+}
+
+// TestWorkerCountInvariance: a sweep on one worker and on the default
+// GOMAXPROCS workers renders the same report, the same Chrome trace and
+// the same checkpoint order for every simulator experiment.
+func TestWorkerCountInvariance(t *testing.T) {
+	type output struct {
+		report, trace string
+		order         []string
+	}
+	run := func(t *testing.T, id string) output {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof := obs.NewProfiler(obs.ProfilerOptions{})
+		cp := NewCheckpoint()
+		ctx := WithCheckpoint(obs.NewContext(context.Background(), prof), cp)
+		rep, err := e.Run(ctx, QuickOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trace bytes.Buffer
+		if err := prof.WriteChromeTrace(&trace); err != nil {
+			t.Fatal(err)
+		}
+		return output{rep.String(), trace.String(), checkpointLabels(cp)}
+	}
+	for _, pin := range outputPins {
+		t.Run(pin.id, func(t *testing.T) {
+			parallel := run(t, pin.id)
+			setGOMAXPROCS(t, 1)
+			serial := run(t, pin.id)
+			if parallel.report != serial.report {
+				t.Errorf("reports differ:\n--- GOMAXPROCS=1 ---\n%s\n--- default ---\n%s", serial.report, parallel.report)
+			}
+			if parallel.trace != serial.trace {
+				t.Errorf("Chrome traces differ (%d vs %d bytes)", len(serial.trace), len(parallel.trace))
+			}
+			if !reflect.DeepEqual(parallel.order, serial.order) {
+				t.Errorf("checkpoint order %v, want %v", parallel.order, serial.order)
 			}
 		})
 	}

@@ -4,74 +4,15 @@ import (
 	"context"
 	"fmt"
 
-	"piumagcn/internal/faults"
-	"piumagcn/internal/graph"
 	"piumagcn/internal/obs"
-	"piumagcn/internal/piuma"
-	"piumagcn/internal/piuma/kernels"
-	"piumagcn/internal/sim"
 	"piumagcn/internal/textplot"
 )
 
 // This file bridges the experiment runners to the observability layer:
 // when the caller put an obs.Profiler in ctx (piumabench -profile /
 // -trace, or the serve job queue), every event-level simulation is
-// registered as a labeled run and each simulating experiment appends a
-// per-component utilization section to its report. Without a profiler
-// in ctx the helpers degrade to the plain kernel entry points.
-
-// runKernel runs one simulated SpMM kernel, attached to the profiler
-// carried by ctx (if any) under the given run label.
-func runKernel(ctx context.Context, label string, kind kernels.Kind, cfg piuma.Config, g *graph.CSR, k int) (kernels.Result, error) {
-	return runFaultyKernel(ctx, label, kind, cfg, nil, g, k)
-}
-
-// runFaultyKernel is runKernel on a machine degraded by fs (nil =
-// healthy). When ctx carries a Checkpoint, an already-completed label
-// returns its stored result without re-simulating — this is what lets a
-// retried or resumed experiment skip the sweep points a previous
-// attempt finished — and each fresh result is checkpointed on the way
-// out. Reused points register no profiler run (they did on the attempt
-// that computed them).
-func runFaultyKernel(ctx context.Context, label string, kind kernels.Kind, cfg piuma.Config, fs *faults.Spec, g *graph.CSR, k int) (kernels.Result, error) {
-	cp := CheckpointFrom(ctx)
-	if v, ok := cp.Lookup(label); ok {
-		if res, ok := v.(kernels.Result); ok {
-			return res, nil
-		}
-	}
-	var tr sim.Tracer
-	if p := obs.FromContext(ctx); p != nil {
-		tr = p.StartRun(label)
-	}
-	res, err := kernels.RunFaulty(kind, cfg, fs, g, k, tr)
-	if err != nil {
-		return res, err
-	}
-	cp.Complete(label, res, fmt.Sprintf("%.1f GFLOPS in %.1fus", res.GFLOPS, res.Elapsed.Seconds()*1e6))
-	return res, nil
-}
-
-// runWalk is runKernel for the random-walk microbenchmark (fault
-// injection does not apply to it, but checkpoint resume does).
-func runWalk(ctx context.Context, label string, cfg piuma.Config, g *graph.CSR, steps int) (kernels.WalkResult, error) {
-	cp := CheckpointFrom(ctx)
-	if v, ok := cp.Lookup(label); ok {
-		if res, ok := v.(kernels.WalkResult); ok {
-			return res, nil
-		}
-	}
-	var tr sim.Tracer
-	if p := obs.FromContext(ctx); p != nil {
-		tr = p.StartRun(label)
-	}
-	res, err := kernels.RunRandomWalkTraced(cfg, g, steps, tr)
-	if err != nil {
-		return res, err
-	}
-	cp.Complete(label, res, fmt.Sprintf("%.2f Msteps/s", res.StepsPerSecond/1e6))
-	return res, nil
-}
+// registered as a labeled run (see sweep) and each simulating
+// experiment appends a per-component utilization section to its report.
 
 // maxProfileRows caps the per-experiment profile table: full sweeps
 // simulate dozens of configurations and the aggregate JSON profile

@@ -118,29 +118,34 @@ func runFig5(ctx context.Context, o Options) (*Report, error) {
 		dims = []int{8, 64, 256}
 	}
 	cores := fig5Cores(o)
+	var pts []point
+	for _, k := range dims {
+		for _, c := range cores {
+			cfg := piuma.DefaultConfig()
+			cfg.Cores = c
+			pts = append(pts,
+				point{label: fmt.Sprintf("fig5 dma c=%d K=%d", c, k), cfg: cfg, kind: kernels.KindDMA, k: k},
+				point{label: fmt.Sprintf("fig5 loop c=%d K=%d", c, k), cfg: cfg, kind: kernels.KindLoopUnrolled, k: k})
+		}
+	}
+	res, err := sweepKernels(ctx, g, pts)
+	if err != nil {
+		return nil, err
+	}
 	for _, k := range dims {
 		tb := &textplot.Table{Headers: []string{"cores", "model GF", "dma GF", "dma/model", "loop GF", "loop/model", "dma norm", "loop norm"}}
 		var xs []string
 		var dmaN, loopN, modelN []float64
 		base := 0.0
 		for _, c := range cores {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
 			cfg := piuma.DefaultConfig()
 			cfg.Cores = c
 			mg, err := modelGFLOPS(cfg, g, k)
 			if err != nil {
 				return nil, err
 			}
-			dma, err := runKernel(ctx, fmt.Sprintf("fig5 dma c=%d K=%d", c, k), kernels.KindDMA, cfg, g, k)
-			if err != nil {
-				return nil, err
-			}
-			lu, err := runKernel(ctx, fmt.Sprintf("fig5 loop c=%d K=%d", c, k), kernels.KindLoopUnrolled, cfg, g, k)
-			if err != nil {
-				return nil, err
-			}
+			dma, lu := res[0], res[1]
+			res = res[2:]
 			if base == 0 {
 				base = dma.GFLOPS
 			}
@@ -187,51 +192,55 @@ func runFig6(ctx context.Context, o Options) (*Report, error) {
 		lats = []int{45, 360, 720}
 	}
 
-	bwTb := &textplot.Table{Headers: []string{"cores", "K", "bw x0.25", "x0.5", "x1", "x2"}}
-	if o.Quick {
-		bwTb.Headers = []string{"cores", "K", "bw x0.5", "x1", "x2"}
-	}
+	var pts []point
 	for _, c := range coreSet {
 		for _, k := range dims {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			row := []string{fmt.Sprintf("%d", c), fmt.Sprintf("%d", k)}
 			for _, m := range bwMults {
 				cfg := piuma.DefaultConfig()
 				cfg.Cores = c
 				cfg.SliceBandwidth *= m
-				res, err := runKernel(ctx, fmt.Sprintf("fig6 bw x%g c=%d K=%d", m, c, k), kernels.KindDMA, cfg, g, k)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, fmt.Sprintf("%.1f", res.GFLOPS))
+				pts = append(pts, point{label: fmt.Sprintf("fig6 bw x%g c=%d K=%d", m, c, k), cfg: cfg, kind: kernels.KindDMA, k: k})
 			}
-			bwTb.AddRow(row...)
 		}
 	}
-	r.Add("Top: GFLOPS vs DRAM-slice bandwidth multiplier", bwTb.String())
-
-	latTb := &textplot.Table{Headers: append([]string{"cores", "K"}, latLabels(lats)...)}
 	for _, c := range coreSet {
 		for _, k := range dims {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			row := []string{fmt.Sprintf("%d", c), fmt.Sprintf("%d", k)}
 			for _, l := range lats {
 				cfg := piuma.DefaultConfig()
 				cfg.Cores = c
 				cfg.DRAMLatency = sim.Time(l) * sim.Nanosecond
-				res, err := runKernel(ctx, fmt.Sprintf("fig6 lat=%dns c=%d K=%d", l, c, k), kernels.KindDMA, cfg, g, k)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, fmt.Sprintf("%.1f", res.GFLOPS))
+				pts = append(pts, point{label: fmt.Sprintf("fig6 lat=%dns c=%d K=%d", l, c, k), cfg: cfg, kind: kernels.KindDMA, k: k})
 			}
-			latTb.AddRow(row...)
 		}
 	}
+	res, err := sweepKernels(ctx, g, pts)
+	if err != nil {
+		return nil, err
+	}
+	// gflopsRows renders one table row per (cores, K) pair from the next
+	// n results each.
+	gflopsRows := func(tb *textplot.Table, n int) {
+		for _, c := range coreSet {
+			for _, k := range dims {
+				row := []string{fmt.Sprintf("%d", c), fmt.Sprintf("%d", k)}
+				for _, x := range res[:n] {
+					row = append(row, fmt.Sprintf("%.1f", x.GFLOPS))
+				}
+				res = res[n:]
+				tb.AddRow(row...)
+			}
+		}
+	}
+
+	bwTb := &textplot.Table{Headers: []string{"cores", "K", "bw x0.25", "x0.5", "x1", "x2"}}
+	if o.Quick {
+		bwTb.Headers = []string{"cores", "K", "bw x0.5", "x1", "x2"}
+	}
+	gflopsRows(bwTb, len(bwMults))
+	r.Add("Top: GFLOPS vs DRAM-slice bandwidth multiplier", bwTb.String())
+
+	latTb := &textplot.Table{Headers: append([]string{"cores", "K"}, latLabels(lats)...)}
+	gflopsRows(latTb, len(lats))
 	r.Add("Bottom: GFLOPS vs DRAM latency (16 threads/MTP)", latTb.String())
 	r.Note("paper: linear in bandwidth; latency-insensitive up to 360 ns (and beyond with 16 threads/MTP)")
 	attachProfile(ctx, r, mark)
@@ -262,52 +271,48 @@ func runFig7(ctx context.Context, o Options) (*Report, error) {
 		threads = []int{1, 16}
 		lats = []int{45, 720}
 	}
-	for _, k := range []int{8, 256} {
-		tb := &textplot.Table{Headers: append([]string{"thr/MTP"}, latLabels(lats)...)}
+	dims := []int{8, 256}
+	var pts []point
+	for _, k := range dims {
 		for _, th := range threads {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			row := []string{fmt.Sprintf("%d", th)}
 			for _, l := range lats {
 				cfg := piuma.DefaultConfig()
 				cfg.Cores = 8
 				cfg.ThreadsPerMTP = th
 				cfg.DRAMLatency = sim.Time(l) * sim.Nanosecond
-				res, err := runKernel(ctx, fmt.Sprintf("fig7 thr=%d lat=%dns K=%d", th, l, k), kernels.KindDMA, cfg, g, k)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, fmt.Sprintf("%.1f", res.GFLOPS))
+				pts = append(pts, point{label: fmt.Sprintf("fig7 thr=%d lat=%dns K=%d", th, l, k), cfg: cfg, kind: kernels.KindDMA, k: k})
 			}
+		}
+	}
+	// Bottom plot: execution-time breakdown for K=8 at 1 vs 16 threads.
+	for _, th := range threads {
+		cfg := piuma.DefaultConfig()
+		cfg.Cores = 8
+		cfg.ThreadsPerMTP = th
+		pts = append(pts, point{label: fmt.Sprintf("fig7 breakdown thr=%d K=8", th), cfg: cfg, kind: kernels.KindDMA, k: 8})
+	}
+	res, err := sweepKernels(ctx, g, pts)
+	if err != nil {
+		return nil, err
+	}
+
+	for _, k := range dims {
+		tb := &textplot.Table{Headers: append([]string{"thr/MTP"}, latLabels(lats)...)}
+		for _, th := range threads {
+			row := []string{fmt.Sprintf("%d", th)}
+			for _, x := range res[:len(lats)] {
+				row = append(row, fmt.Sprintf("%.1f", x.GFLOPS))
+			}
+			res = res[len(lats):]
 			tb.AddRow(row...)
 		}
 		r.Add(fmt.Sprintf("GFLOPS, K=%d", k), tb.String())
 	}
-
-	// Bottom plot: execution-time breakdown for K=8 at 1 vs 16 threads.
 	var rows []string
 	var segs [][]textplot.Segment
-	for _, th := range threads {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		cfg := piuma.DefaultConfig()
-		cfg.Cores = 8
-		cfg.ThreadsPerMTP = th
-		res, err := runKernel(ctx, fmt.Sprintf("fig7 breakdown thr=%d K=8", th), kernels.KindDMA, cfg, g, 8)
-		if err != nil {
-			return nil, err
-		}
+	for i, th := range threads {
 		rows = append(rows, fmt.Sprintf("thr=%d", th))
-		b := res.Breakdown
-		segs = append(segs, []textplot.Segment{
-			{Label: "nnz-read", Value: b.NNZWait.Seconds()},
-			{Label: "dma-queue", Value: b.DMAQueueWait.Seconds()},
-			{Label: "compute", Value: b.Compute.Seconds()},
-			{Label: "startup", Value: b.Startup.Seconds()},
-			{Label: "barrier", Value: b.Barrier.Seconds()},
-		})
+		segs = append(segs, breakdownSegments(res[i].Breakdown))
 	}
 	r.Add("Execution-time breakdown, K=8", textplot.StackedBars(rows, segs, 50))
 	r.Note("paper: latency tolerance is lost at 1 thread/MTP for K=8 (NNZ reads on the critical path) and retained for K=256")
@@ -342,49 +347,42 @@ func runFig8(ctx context.Context, o Options) (*Report, error) {
 	r.Add("Left: effective memory bandwidth vs cores", left.String())
 
 	// Middle: SpMM strong scaling, PIUMA DMA (simulated) vs Xeon model,
-	// in GFLOPS on the same products-shaped problem.
+	// in GFLOPS on the same products-shaped problem. Right: 16-core
+	// PIUMA execution-time breakdown across K.
 	const k = 256
-	mid := &textplot.Table{Headers: []string{"cores", "PIUMA GF (sim)", "Xeon GF (model)"}}
 	scaling := fig5Cores(o)
+	breakdownKs := []int{8, 64, 256}
+	var pts []point
 	for _, c := range scaling {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		cfg := piuma.DefaultConfig()
 		cfg.Cores = c
-		res, err := runKernel(ctx, fmt.Sprintf("fig8 dma c=%d K=%d", c, k), kernels.KindDMA, cfg, g, k)
-		if err != nil {
-			return nil, err
-		}
+		pts = append(pts, point{label: fmt.Sprintf("fig8 dma c=%d K=%d", c, k), cfg: cfg, kind: kernels.KindDMA, k: k})
+	}
+	for _, kk := range breakdownKs {
+		cfg := piuma.DefaultConfig()
+		cfg.Cores = 16
+		pts = append(pts, point{label: fmt.Sprintf("fig8 breakdown c=16 K=%d", kk), cfg: cfg, kind: kernels.KindDMA, k: kk})
+	}
+	res, err := sweepKernels(ctx, g, pts)
+	if err != nil {
+		return nil, err
+	}
+
+	mid := &textplot.Table{Headers: []string{"cores", "PIUMA GF (sim)", "Xeon GF (model)"}}
+	for i, c := range scaling {
 		ct := cpu.SpMMTime(xeonWorkload(g), k, c)
 		cgf := 2 * float64(g.NumEdges()) * k / ct / 1e9
-		mid.AddRow(fmt.Sprintf("%d", c), fmt.Sprintf("%.1f", res.GFLOPS), fmt.Sprintf("%.1f", cgf))
+		mid.AddRow(fmt.Sprintf("%d", c), fmt.Sprintf("%.1f", res[i].GFLOPS), fmt.Sprintf("%.1f", cgf))
 	}
 	r.Add("Middle: SpMM strong scaling on the products-shaped graph (K=256)", mid.String())
 
-	// Right: 16-core PIUMA execution-time breakdown across K.
 	var rows []string
 	var segs [][]textplot.Segment
 	nnzShares := map[int]float64{}
-	for _, kk := range []int{8, 64, 256} {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		cfg := piuma.DefaultConfig()
-		cfg.Cores = 16
-		res, err := runKernel(ctx, fmt.Sprintf("fig8 breakdown c=16 K=%d", kk), kernels.KindDMA, cfg, g, kk)
-		if err != nil {
-			return nil, err
-		}
-		b := res.Breakdown
+	for i, kk := range breakdownKs {
+		b := res[len(scaling)+i].Breakdown
 		rows = append(rows, fmt.Sprintf("K=%d", kk))
-		segs = append(segs, []textplot.Segment{
-			{Label: "nnz-read", Value: b.NNZWait.Seconds()},
-			{Label: "dma-queue", Value: b.DMAQueueWait.Seconds()},
-			{Label: "compute", Value: b.Compute.Seconds()},
-			{Label: "startup", Value: b.Startup.Seconds()},
-			{Label: "barrier", Value: b.Barrier.Seconds()},
-		})
+		segs = append(segs, breakdownSegments(b))
 		nnzShares[kk] = float64(b.NNZWait) / float64(b.Total())
 	}
 	r.Add("Right: 16-core PIUMA time breakdown", textplot.StackedBars(rows, segs, 50))
@@ -393,4 +391,16 @@ func runFig8(ctx context.Context, o Options) (*Report, error) {
 	r.Note("paper: Xeon bandwidth peaks at 80 physical cores and degrades with hyper-threading; PIUMA crosses it near 16 cores")
 	attachProfile(ctx, r, mark)
 	return r, nil
+}
+
+// breakdownSegments renders a kernel's execution-time breakdown as one
+// stacked bar.
+func breakdownSegments(b kernels.Breakdown) []textplot.Segment {
+	return []textplot.Segment{
+		{Label: "nnz-read", Value: b.NNZWait.Seconds()},
+		{Label: "dma-queue", Value: b.DMAQueueWait.Seconds()},
+		{Label: "compute", Value: b.Compute.Seconds()},
+		{Label: "startup", Value: b.Startup.Seconds()},
+		{Label: "barrier", Value: b.Barrier.Seconds()},
+	}
 }

@@ -161,7 +161,13 @@ func TestUserCancelStaysCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitStatus(t, s, v.ID, serve.StatusRunning)
+	// Cancel only once the sweep has checkpointed point 0: a send on
+	// block lands only where the sweep parks after a checkpoint.
+	select {
+	case block <- struct{}{}:
+	case <-time.After(10 * time.Second):
+		t.Fatal("sweep never parked after its first checkpoint")
+	}
 	if _, err := s.Cancel(v.ID); err != nil {
 		t.Fatal(err)
 	}
