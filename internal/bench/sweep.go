@@ -22,13 +22,16 @@ import (
 // calling goroutine, so reports, Chrome traces, checkpoint journals and
 // partial reports are byte-identical to running the points one by one.
 //
-// One admission rule bounds memory. Every simulated thread is a live
-// coroutine with its own stack, and the GC heap goal counts stack
-// bytes, so two large points in flight cost more than either alone. A
-// point is dispatched only while the worker threads of the points in
-// flight, plus its own, stay within the largest point of the sweep (and
-// always when nothing is in flight): the sweep never holds more live
-// simulated processes than its serial form did at its peak.
+// One admission rule bounds memory. Every simulated thread of a DMA
+// kernel is a live coroutine with its own stack, and the GC heap goal
+// counts stack bytes, so two large points in flight cost more than
+// either alone. A point is dispatched only while the worker threads of
+// the points in flight, plus its own, stay within the largest point of
+// the sweep (and always when nothing is in flight): the sweep never
+// holds more live simulated processes than its serial form did at its
+// peak. Loop-unrolled and random-walk threads are stackless step
+// processes and cost a few hundred bytes each, but they count against
+// the budget all the same, so one rule covers every sweep.
 
 // point is one simulation of a sweep.
 type point struct {

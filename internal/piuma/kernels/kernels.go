@@ -239,6 +239,10 @@ func (r *runner) launch() {
 		r.dmaRelease[i] = d.Queue.Release
 	}
 	done := sim.NewBarrier("kernel-done", threads)
+	var loops []loopThread
+	if r.kind == KindLoopUnrolled {
+		loops = make([]loopThread, threads)
+	}
 	for t := 0; t < threads; t++ {
 		var start, end int64
 		var row int
@@ -253,101 +257,83 @@ func (r *runner) launch() {
 			// Edge-parallel: equal EDGE ranges (Algorithm 2).
 			start = int64(t) * e / int64(threads)
 			end = int64(t+1) * e / int64(threads)
-			row = -1 // resolved by binary search in threadBody
+			row = -1 // resolved by binary search at startup
 		}
 		slot := slots[t%len(slots)] // interleave threads across cores for balance
 		core, mtp := slot.Core, slot.MTP
-		r.m.Eng.Spawn(fmt.Sprintf("t%d", t), func(p *sim.Proc) {
+		name := fmt.Sprintf("t%d", t)
+		if r.kind == KindLoopUnrolled {
+			th := &loops[t]
+			*th = loopThread{r: r, done: done, core: core, mtp: r.m.MTPOf(core, mtp), e: start, end: end}
+			r.m.Eng.SpawnStep(name, th.step)
+			continue
+		}
+		r.m.Eng.Spawn(name, func(p *sim.Proc) {
 			r.threadBody(p, core, mtp, row, start, end)
 			arrive := p.Now()
 			done.Wait(p)
-			r.bd.Barrier += p.Now() - arrive
-			if r.tr != nil && p.Now() > arrive {
-				r.tr.Span(p.Name, "barrier", arrive, p.Now())
-			}
-			if p.Now() > r.finish {
-				r.finish = p.Now()
-			}
+			r.passedBarrier(p, arrive)
 		})
 	}
 }
 
-// threadBody runs one thread's share: edge range [start, end) starting
-// at row `row` (-1 for edge-parallel kernels, which binary-search it).
+// passedBarrier books the wait of a thread that arrived at the
+// kernel-done barrier at arrive and has just been released.
+func (r *runner) passedBarrier(p *sim.Proc, arrive sim.Time) {
+	r.bd.Barrier += p.Now() - arrive
+	if r.tr != nil && p.Now() > arrive {
+		r.tr.Span(p.Name, "barrier", arrive, p.Now())
+	}
+	if p.Now() > r.finish {
+		r.finish = p.Now()
+	}
+}
+
+// startRow is the row holding edge start, found by the binary search of
+// Algorithm 2 line 4, and the number of dependent 8-byte probes the
+// search costs (~log2|V|).
+func (r *runner) startRow(start int64) (row int, probes int64) {
+	row = sort.Search(r.a.NumVertices, func(i int) bool { return r.a.RowPtr[i+1] > start })
+	probes = 1
+	for n := r.a.NumVertices; n > 1; n >>= 1 {
+		probes++
+	}
+	return row, probes
+}
+
+// probeBlock is the address block startup probe i reads.
+func (r *runner) probeBlock(start, i int64) int64 {
+	return (start + i*7919) % maxI64(1, int64(r.a.NumVertices))
+}
+
+// startupDone books a thread's startup phase, which began at t0.
+func (r *runner) startupDone(p *sim.Proc, t0 sim.Time) {
+	r.bd.Startup += p.Now() - t0
+	if r.tr != nil {
+		r.tr.Span(p.Name, "startup", t0, p.Now())
+	}
+}
+
+// threadBody runs one DMA-kernel thread's share: edge range [start, end)
+// starting at row `row` (-1 for the edge-parallel kernel, which
+// binary-searches it).
 func (r *runner) threadBody(p *sim.Proc, core, mtp, row int, start, end int64) {
 	mtpSrv := r.m.MTPOf(core, mtp)
 
 	t0 := p.Now()
 	u := row
 	if u < 0 {
-		// --- Startup: binary search over the row-pointer array
-		// (Algorithm 2 line 4): ~log2|V| dependent 8-byte probes.
-		u = sort.Search(r.a.NumVertices, func(i int) bool { return r.a.RowPtr[i+1] > start })
-		probes := 1
-		for n := r.a.NumVertices; n > 1; n >>= 1 {
-			probes++
-		}
-		for i := 0; i < probes; i++ {
-			block := (start + int64(i)*7919) % maxI64(1, int64(r.a.NumVertices))
-			r.blockingRead(p, core, block, r.burst(8))
+		var probes int64
+		u, probes = r.startRow(start)
+		for i := int64(0); i < probes; i++ {
+			r.blockingRead(p, core, r.probeBlock(start, i), r.burst(8))
 		}
 	} else {
 		// Vertex-parallel startup: one row-pointer line fetch.
 		r.blockingRead(p, core, int64(u), r.burst(8))
 	}
-	r.bd.Startup += p.Now() - t0
-	if r.tr != nil {
-		r.tr.Span(p.Name, "startup", t0, p.Now())
-	}
-
-	switch r.kind {
-	case KindLoopUnrolled:
-		r.runLoopUnrolled(p, core, mtpSrv, u, start, end)
-	case KindDMA, KindVertexDMA:
-		r.runDMA(p, core, mtpSrv, u, start, end)
-	}
-}
-
-// runLoopUnrolled executes the per-edge dependent chain: col read, value
-// read (fine-grained 8-byte stall-on-use loads), then ceil(K·B_F/line)
-// feature-line fetches each followed by the unrolled loads + MACs.
-func (r *runner) runLoopUnrolled(p *sim.Proc, core int, mtpSrv *sim.Server, u int, start, end int64) {
-	cfg := r.m.Cfg
-	lineBytes := int64(cfg.CacheLineBytes)
-	rowBytes := r.featureRowBytes()
-	nLines := (rowBytes + lineBytes - 1) / lineBytes
-	unroll := cfg.CacheLineBytes / cfg.FeatureBytes
-	for eIdx := start; eIdx < end; eIdx++ {
-		for eIdx >= r.a.RowPtr[u+1] {
-			r.flushAtomic(p, core, mtpSrv, u)
-			u++
-		}
-		v := int64(r.a.Col[eIdx])
-		// Column-index and non-zero-value reads: fine-grained stall-
-		// on-use loads, each a full round trip. Address blocks follow
-		// the CSR streams (line-interleaved across slices).
-		t := p.Now()
-		colBlock := eIdx * int64(cfg.ColIndexBytes) / lineBytes
-		valBlock := eIdx * int64(cfg.ValueBytes) / lineBytes
-		r.blockingRead(p, core, colBlock, r.burst(int64(cfg.ColIndexBytes)))
-		r.blockingRead(p, core, valBlock, r.burst(int64(cfg.ValueBytes)))
-		r.observeNNZ(p.Now() - t)
-		r.bd.NNZWait += p.Now() - t
-
-		// Feature lines: fetch, then 8 L1-hit loads + 8 MACs per line;
-		// the next fetch only issues after the unrolled group retires.
-		for i := int64(0); i < nLines; i++ {
-			tw := p.Now()
-			comp := r.m.ReadBlockingAt(p.Now(), core, r.rowHome(v), lineBytes)
-			p.SleepUntil(comp)
-			r.bd.FeatureWait += p.Now() - tw
-			tc := p.Now()
-			_, issueEnd := mtpSrv.Reserve(p.Now(), cfg.Cycle(int64(2*unroll)))
-			p.SleepUntil(issueEnd)
-			r.bd.Compute += p.Now() - tc
-		}
-	}
-	r.flushAtomic(p, core, mtpSrv, u)
+	r.startupDone(p, t0)
+	r.runDMA(p, core, mtpSrv, u, start, end)
 }
 
 // runDMA executes the optimized kernel: the sparse structure streams
@@ -428,22 +414,11 @@ func (r *runner) issueDMA(p *sim.Proc, core int, mtpSrv *sim.Server, block int64
 	p.Engine().At(served, r.dmaRelease[core])
 }
 
-// flushAtomic writes the accumulated K-wide row back via the remote
-// atomic offload (fire-and-forget for the issuing thread).
-func (r *runner) flushAtomic(p *sim.Proc, core int, mtpSrv *sim.Server, row int) {
-	cfg := r.m.Cfg
-	t0 := p.Now()
-	_, issueEnd := mtpSrv.Reserve(p.Now(), cfg.Cycle(4))
-	r.m.WriteAsyncAt(p.Now(), r.rowHome(int64(row)), r.burst(r.featureRowBytes()))
-	p.SleepUntil(issueEnd)
-	r.bd.Compute += p.Now() - t0
-}
-
 // blockingRead performs one stall-on-use memory round trip at the
-// current simulated time, returning after the data is usable.
-func (r *runner) blockingRead(p *sim.Proc, core int, block, bytes int64) {
-	comp := r.m.ReadBlocking(p.Now(), core, block, bytes)
-	p.SleepUntil(comp)
+// current simulated time, returning after the data is usable; it
+// reports whether a step process parked for it.
+func (r *runner) blockingRead(p *sim.Proc, core int, block, bytes int64) bool {
+	return p.SleepUntil(r.m.ReadBlocking(p.Now(), core, block, bytes))
 }
 
 func (r *runner) observeNNZ(lat sim.Time) {

@@ -367,14 +367,23 @@ func TestVertexParallelUniformGraphClose(t *testing.T) {
 // kernel run by the thread count: processes, names and machine set-up
 // allocate, but the per-edge path (sleeps, DMA descriptors, queue
 // waits) must not. The larger graph has 8x the edges of the smaller
-// one and the same bound.
+// one and the same bound. A loop-unrolled thread is a step process (a
+// name, a Proc and its step, about 240 allocations in all at 64
+// threads); a DMA thread is a coroutine, whose start-up allocates
+// several objects more.
 func TestKernelAllocationsScaleWithThreads(t *testing.T) {
 	small, mid := testGraphs(t)
 	cfg := piuma.DefaultConfig()
 	cfg.Cores = 1
 	threads := cfg.Cores * cfg.MTPsPerCore * cfg.ThreadsPerMTP
-	limit := float64(32*threads + 256)
-	for _, kind := range []Kind{KindLoopUnrolled, KindDMA} {
+	for _, c := range []struct {
+		kind  Kind
+		limit float64
+	}{
+		{KindLoopUnrolled, float64(4*threads + 64)},
+		{KindDMA, float64(32*threads + 256)},
+	} {
+		kind, limit := c.kind, c.limit
 		for _, g := range []*graph.CSR{small, mid} {
 			allocs := testing.AllocsPerRun(1, func() {
 				if _, err := Run(kind, cfg, g, 8); err != nil {

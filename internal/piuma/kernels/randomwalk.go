@@ -61,48 +61,96 @@ func RunRandomWalkTraced(cfg piuma.Config, a *graph.CSR, steps int, tr sim.Trace
 	}
 	walkers := cfg.WorkerThreads()
 	res := WalkResult{Cfg: cfg, Walkers: walkers, Steps: steps}
-	var totalLatency sim.Time
-	var finish sim.Time
-	lineBytes := int64(cfg.CacheLineBytes)
-	for t := 0; t < walkers; t++ {
-		t := t
-		core := t % cfg.Cores
-		m.Eng.Spawn(fmt.Sprintf("walker%d", t), func(p *sim.Proc) {
-			rng := rand.New(rand.NewSource(int64(t)*0x9E37 + 1))
-			v := rng.Intn(a.NumVertices)
-			for s := 0; s < steps; s++ {
-				t0 := p.Now()
-				// Dependent chain: row-pointer read, then neighbour
-				// read. Both are fine-grained remote loads (a walk has
-				// no spatial locality to amortize).
-				comp := m.ReadBlocking(p.Now(), core, int64(v), lineBytes)
-				p.SleepUntil(comp)
-				deg := int(a.Degree(v))
-				if deg == 0 {
-					v = rng.Intn(a.NumVertices) // teleport from sinks
-					continue
-				}
-				cols, _ := a.Row(v)
-				next := int(cols[rng.Intn(deg)])
-				comp = m.ReadBlocking(p.Now(), core, int64(next), lineBytes)
-				p.SleepUntil(comp)
-				totalLatency += p.Now() - t0
-				v = next
-			}
-			if p.Now() > finish {
-				finish = p.Now()
-			}
-		})
+	run := &walkRun{m: m, a: a, steps: steps}
+	ws := make([]walker, walkers)
+	for t := range ws {
+		w := &ws[t]
+		rng := rand.New(rand.NewSource(int64(t)*0x9E37 + 1))
+		*w = walker{run: run, core: t % cfg.Cores, rng: rng, v: rng.Intn(a.NumVertices)}
+		m.Eng.SpawnStep(fmt.Sprintf("walker%d", t), w.step)
 	}
 	if err := m.Eng.Run(); err != nil {
 		return WalkResult{}, fmt.Errorf("kernels: random walk simulation failed: %w", err)
 	}
-	res.Elapsed = finish
-	if finish > 0 {
-		res.StepsPerSecond = float64(walkers) * float64(steps) / finish.Seconds()
+	res.Elapsed = run.finish
+	if run.finish > 0 {
+		res.StepsPerSecond = float64(walkers) * float64(steps) / run.finish.Seconds()
 	}
 	if n := int64(walkers) * int64(steps); n > 0 {
-		res.AvgStepLatency = totalLatency / sim.Time(n)
+		res.AvgStepLatency = run.totalLatency / sim.Time(n)
 	}
 	return res, nil
+}
+
+// walkRun is the state the walkers of one simulation share.
+type walkRun struct {
+	m            *piuma.Machine
+	a            *graph.CSR
+	steps        int
+	totalLatency sim.Time
+	finish       sim.Time
+}
+
+// walker is one walker thread, run as a step process: pc is where it
+// resumes when its outstanding read completes.
+type walker struct {
+	run  *walkRun
+	core int
+	rng  *rand.Rand
+	pc   walkPC
+	// v is the current vertex; s counts finished steps, and the current
+	// one began at t0.
+	v  int
+	s  int
+	t0 sim.Time
+}
+
+type walkPC uint8
+
+const (
+	walkRow     walkPC = iota // start a step: read v's row pointer
+	walkPick                  // row pointer arrived: read a random neighbour
+	walkArrived               // neighbour arrived: the step is done
+)
+
+func (w *walker) step(p *sim.Proc) {
+	run, a := w.run, w.run.a
+	lineBytes := int64(run.m.Cfg.CacheLineBytes)
+	for {
+		switch w.pc {
+		case walkRow:
+			if w.s == run.steps {
+				if p.Now() > run.finish {
+					run.finish = p.Now()
+				}
+				return
+			}
+			// Dependent chain: row-pointer read, then neighbour read.
+			// Both are fine-grained remote loads (a walk has no spatial
+			// locality to amortize).
+			w.t0 = p.Now()
+			w.pc = walkPick
+			if p.SleepUntil(run.m.ReadBlocking(p.Now(), w.core, int64(w.v), lineBytes)) {
+				return
+			}
+		case walkPick:
+			deg := int(a.Degree(w.v))
+			if deg == 0 {
+				w.v = w.rng.Intn(a.NumVertices) // teleport from sinks
+				w.s++
+				w.pc = walkRow
+				continue
+			}
+			cols, _ := a.Row(w.v)
+			w.v = int(cols[w.rng.Intn(deg)])
+			w.pc = walkArrived
+			if p.SleepUntil(run.m.ReadBlocking(p.Now(), w.core, int64(w.v), lineBytes)) {
+				return
+			}
+		case walkArrived:
+			run.totalLatency += p.Now() - w.t0
+			w.s++
+			w.pc = walkRow
+		}
+	}
 }

@@ -6,24 +6,27 @@ import (
 )
 
 // FuzzEngineEquivalence decodes random programs of Spawn, Sleep,
-// SleepUntil, WaitFor, Gate Acquire/Release, Barrier, At/After and
-// spawn-from-process, runs each on Engine and on the goroutine
-// reference engine (refengine_test.go), and requires identical tracer
-// streams, program logs, event counts and deadlock errors.
+// SleepUntil, WaitFor, Gate Acquire/Release, Barrier, At/After,
+// spawn-from-process and panics, and runs each three ways: as coroutine
+// processes and as step processes on Engine, and on the goroutine
+// reference engine (refengine_test.go). All three must give identical
+// tracer streams, program logs, event counts, panics and deadlock
+// errors.
 func FuzzEngineEquivalence(f *testing.F) {
 	for _, seed := range equivalenceSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prog := decodeProgram(data)
-		got := runProgram(coroEngine{NewEngine()}, prog)
 		want := runProgram(refEngineAdapter{newRefEngine()}, prog)
-		compareRuns(t, got, want)
+		compareRuns(t, "coroutine", runProgram(coroEngine{NewEngine()}, prog), want)
+		compareRuns(t, "step", runProgram(stepEngine{coroEngine{NewEngine()}}, prog), want)
 	})
 }
 
 // equivalenceSeeds encode the shapes of the engine tests in
-// sim_test.go (see decodeProgram for the byte layout).
+// sim_test.go, then the cases where a step process differs most from a
+// coroutine (see decodeProgram for the byte layout).
 var equivalenceSeeds = [][]byte{
 	// TestProcessSleep: sleep, sleep, SleepUntil in the past.
 	{0, 0, 0, 0, 0, 3, 0, 7, 0, 5, 1, 3, 0},
@@ -50,11 +53,26 @@ var equivalenceSeeds = [][]byte{
 	// spawn scheduled from an event.
 	{1, 0, 1, 0, 0, 2,
 		4, 4, 0, 0, 3, 5, 0, 2, 0, 4, 4, 1, 0, 1, 11, 2, 5, 1, 3, 7, 2, 4, 1, 1, 0},
+	// Wake-ups at or before now: SleepUntil(0) and Sleep(0) at t=0, then
+	// SleepUntil(2) at t=3, none of which parks.
+	{0, 0, 0, 0, 0, 4, 1, 0, 0, 0, 0, 3, 1, 2, 0},
+	// A process parked on a barrier is resumed nested inside the last
+	// arrival's Wait.
+	{0, 0, 0, 1, 1, 1, 6, 0, 2, 0, 5, 6, 0, 0},
+	// A process finishes without ever parking: a reservation, a wake-up
+	// with nobody waiting and a zero sleep.
+	{0, 0, 0, 0, 0, 3, 10, 3, 3, 0, 0, 0, 0},
+	// A panic in a body comes out of Run while another process waits.
+	{0, 0, 0, 0, 1, 2, 0, 4, fzPanic, 0, 1, 2, 0, 0},
 }
 
 // Program interpreter --------------------------------------------------
 
 type fzOp struct{ kind, arg byte }
+
+// fzPanic is the op kind that panics; every other kind selects one of
+// twelve operations by its value mod 12.
+const fzPanic = 255
 
 type fzProgram struct {
 	gateCaps     []int
@@ -99,7 +117,7 @@ func decodeProgram(data []byte) fzProgram {
 }
 
 // fzRun is one execution of a program on one engine. When the first Run
-// ends in a deadlock, drain unblocks every process so that neither
+// ends in a deadlock or a panic, drain unblocks every process so that no
 // engine leaks a goroutine per fuzz input; the drain is traced and
 // compared like the rest of the run.
 type fzRun struct {
@@ -118,10 +136,11 @@ type fzRun struct {
 }
 
 type fzResult struct {
-	trace      []traceRec
-	log        []string
-	events     int64
-	err, drain string
+	trace             []traceRec
+	log               []string
+	events            int64
+	now               Time
+	err, panic, drain string
 }
 
 func runProgram(e fzEngine, prog fzProgram) fzResult {
@@ -147,8 +166,10 @@ func runProgram(e fzEngine, prog fzProgram) fzResult {
 	for i := range prog.bodies {
 		st.spawn(fmt.Sprintf("p%d", i), i, 0)
 	}
-	res := fzResult{err: errString(e.Run())}
-	if res.err != "" {
+	var res fzResult
+	res.err, res.panic = runRecovered(e)
+	res.now = e.Now()
+	if res.err != "" || res.panic != "" {
 		st.draining = true
 		e.At(e.Now(), st.drain)
 		res.drain = errString(e.Run())
@@ -157,12 +178,25 @@ func runProgram(e fzEngine, prog fzProgram) fzResult {
 	return res
 }
 
+// runRecovered runs e and returns its error and, if a process panicked
+// out of Run, the panic value.
+func runRecovered(e fzEngine) (err, panicked string) {
+	defer func() {
+		if v := recover(); v != nil {
+			panicked = fmt.Sprint(v)
+		}
+	}()
+	return errString(e.Run()), ""
+}
+
 func (st *fzRun) logf(format string, args ...any) {
 	st.log = append(st.log, fmt.Sprintf("%d ", st.e.Now())+fmt.Sprintf(format, args...))
 }
 
 func (st *fzRun) spawn(name string, body, depth int) {
-	st.e.Spawn(name, func(p fzProc) { st.runBody(p, name, body, depth) })
+	b := &fzBody{st: st, name: name, ops: st.prog.bodies[body], depth: depth,
+		held: make([]int, len(st.gates)), acquiring: -1}
+	st.e.Spawn(name, b.step)
 }
 
 func (st *fzRun) event(action byte) {
@@ -184,67 +218,109 @@ func (st *fzRun) wakeOne() {
 	wake()
 }
 
-func (st *fzRun) runBody(p fzProc, name string, body, depth int) {
-	held := make([]int, len(st.gates))
-	for i, op := range st.prog.bodies[body] {
+// fzBody interprets one body's ops from pc. The same code serves all
+// three process forms: a blocking primitive reports false in a
+// coroutine or goroutine process, so step runs the whole body in one
+// call, while a step process returns when a primitive reports that it
+// parked and continues from pc on its next activation.
+type fzBody struct {
+	st    *fzRun
+	name  string
+	ops   []fzOp
+	pc    int
+	depth int
+	held  []int
+	// acquiring is the gate the process parked on in Acquire, or -1.
+	acquiring int
+}
+
+func (b *fzBody) step(p fzProc) {
+	st := b.st
+	if b.acquiring >= 0 {
+		b.acquired()
+	}
+	for b.pc < len(b.ops) {
 		if st.draining {
 			return
 		}
-		st.logf("%s op %d/%d", name, op.kind%12, op.arg)
+		i, op := b.pc, b.ops[b.pc]
+		b.pc++
+		if op.kind == fzPanic {
+			st.logf("%s op panic", b.name)
+			panic(fmt.Sprintf("%s op %d panics", b.name, i))
+		}
+		st.logf("%s op %d/%d", b.name, op.kind%12, op.arg)
 		g := int(op.arg) % len(st.gates)
 		switch op.kind % 12 {
 		case 0:
-			p.Sleep(Time(op.arg % 8))
+			if p.Sleep(Time(op.arg % 8)) {
+				return
+			}
 		case 1:
-			p.SleepUntil(Time(op.arg % 32))
+			if p.SleepUntil(Time(op.arg % 32)) {
+				return
+			}
 		case 2:
-			p.WaitFor(func(wake func()) { st.mailbox = append(st.mailbox, wake) })
+			if p.WaitFor(func(wake func()) { st.mailbox = append(st.mailbox, wake) }) {
+				return
+			}
 		case 3:
 			st.wakeOne()
 		case 4:
 			st.waiting[g]++
-			st.gates[g].Acquire(p)
-			st.waiting[g]--
-			held[g]++
+			b.acquiring = g
+			if st.gates[g].Acquire(p) {
+				return
+			}
+			b.acquired()
 		case 5:
-			if held[g] > 0 {
-				held[g]--
+			if b.held[g] > 0 {
+				b.held[g]--
 				st.gates[g].Release()
 			}
 		case 6:
-			b := int(op.arg) % len(st.barriers)
-			if st.arrived[b] < st.prog.barrierSizes[b] {
-				st.arrived[b]++
-				st.barriers[b].Wait(p)
+			k := int(op.arg) % len(st.barriers)
+			if st.arrived[k] < st.prog.barrierSizes[k] {
+				st.arrived[k]++
+				if st.barriers[k].Wait(p) {
+					return
+				}
 			}
 		case 7:
 			st.e.After(Time(op.arg%8), st.wakeOne)
 		case 8:
-			if held[g] > 0 {
-				held[g]--
+			if b.held[g] > 0 {
+				b.held[g]--
 				st.e.After(Time(op.arg%8), st.gates[g].Release)
 			}
 		case 9:
-			if depth < 2 {
-				st.spawn(fmt.Sprintf("%s.%d", name, i), int(op.arg)%len(st.prog.bodies), depth+1)
+			if b.depth < 2 {
+				st.spawn(fmt.Sprintf("%s.%d", b.name, i), int(op.arg)%len(st.prog.bodies), b.depth+1)
 			}
 		case 10:
 			st.servers[op.arg%2].Reserve(p.Now(), Time(op.arg%5))
 		case 11:
-			if depth < 2 {
-				child := fmt.Sprintf("%s.e%d", name, i)
-				st.e.After(Time(op.arg%8), func() { st.spawn(child, int(op.arg)%len(st.prog.bodies), depth+1) })
+			if b.depth < 2 {
+				child, depth := fmt.Sprintf("%s.e%d", b.name, i), b.depth+1
+				st.e.After(Time(op.arg%8), func() { st.spawn(child, int(op.arg)%len(st.prog.bodies), depth) })
 			}
 		}
 	}
 	if st.draining {
 		return
 	}
-	for g, n := range held {
+	for g, n := range b.held {
 		for ; n > 0; n-- {
 			st.gates[g].Release()
 		}
 	}
+}
+
+// acquired books the gate slot the body's Acquire has granted.
+func (b *fzBody) acquired() {
+	b.st.waiting[b.acquiring]--
+	b.held[b.acquiring]++
+	b.acquiring = -1
 }
 
 // drain wakes every blocked process: mailbox waiters, gate waiters (by
@@ -265,32 +341,46 @@ func (st *fzRun) drain() {
 		}
 		for k := st.arrived[b]; k < st.prog.barrierSizes[b]; k++ {
 			st.arrived[b]++
-			st.e.Spawn(fmt.Sprintf("fill%d.%d", b, k), func(p fzProc) { barrier.Wait(p) })
+			arrived := false
+			st.e.Spawn(fmt.Sprintf("fill%d.%d", b, k), func(p fzProc) {
+				if !arrived {
+					arrived = true
+					barrier.Wait(p)
+				}
+			})
 		}
 	}
 }
 
-func compareRuns(t *testing.T, got, want fzResult) {
+func compareRuns(t *testing.T, form string, got, want fzResult) {
 	t.Helper()
 	if got.err != want.err {
-		t.Fatalf("Run error = %q, reference %q", got.err, want.err)
+		t.Fatalf("%s: Run error = %q, reference %q", form, got.err, want.err)
 	}
-	if want.drain != "" {
+	if got.panic != want.panic {
+		t.Fatalf("%s: Run panicked with %q, reference %q", form, got.panic, want.panic)
+	}
+	if got.now != want.now {
+		t.Fatalf("%s: Run stopped at t=%d, reference t=%d", form, got.now, want.now)
+	}
+	// A process that panicked never finishes, so only the drain after a
+	// deadlock must leave nothing blocked.
+	if want.panic == "" && want.drain != "" {
 		t.Fatalf("drain left processes blocked: %s", want.drain)
 	}
 	if got.drain != want.drain {
-		t.Fatalf("drain Run error = %q, reference %q", got.drain, want.drain)
+		t.Fatalf("%s: drain Run error = %q, reference %q", form, got.drain, want.drain)
 	}
 	if got.events != want.events {
-		t.Errorf("Events() = %d, reference %d", got.events, want.events)
+		t.Errorf("%s: Events() = %d, reference %d", form, got.events, want.events)
 	}
 	if i := firstDiff(got.trace, want.trace); i >= 0 {
-		t.Errorf("tracer streams diverge at record %d of %d/%d: %s vs reference %s",
-			i, len(got.trace), len(want.trace), at(got.trace, i), at(want.trace, i))
+		t.Errorf("%s: tracer streams diverge at record %d of %d/%d: %s vs reference %s",
+			form, i, len(got.trace), len(want.trace), at(got.trace, i), at(want.trace, i))
 	}
 	if i := firstDiff(got.log, want.log); i >= 0 {
-		t.Errorf("program logs diverge at line %d of %d/%d: %s vs reference %s",
-			i, len(got.log), len(want.log), at(got.log, i), at(want.log, i))
+		t.Errorf("%s: program logs diverge at line %d of %d/%d: %s vs reference %s",
+			form, i, len(got.log), len(want.log), at(got.log, i), at(want.log, i))
 	}
 }
 
@@ -342,8 +432,8 @@ func (r *recTracer) Span(track, name string, start, end Time) {
 
 // Engine adapters -------------------------------------------------------
 
-// fzEngine is the surface the interpreter drives, implemented over both
-// Engine and the reference engine.
+// fzEngine is the surface the interpreter drives, implemented over
+// Engine (coroutine and step processes) and the reference engine.
 type fzEngine interface {
 	Now() Time
 	At(t Time, fn func())
@@ -358,17 +448,17 @@ type fzEngine interface {
 
 type fzProc interface {
 	Now() Time
-	Sleep(d Time)
-	SleepUntil(t Time)
-	WaitFor(register func(wake func()))
+	Sleep(d Time) bool
+	SleepUntil(t Time) bool
+	WaitFor(register func(wake func())) bool
 }
 
 type fzGate interface {
-	Acquire(p fzProc)
+	Acquire(p fzProc) bool
 	Release()
 }
 
-type fzBarrier interface{ Wait(p fzProc) }
+type fzBarrier interface{ Wait(p fzProc) bool }
 
 type coroEngine struct{ *Engine }
 
@@ -380,18 +470,44 @@ func (e coroEngine) newBarrier(name string, n int) fzBarrier {
 	return coroBarrier{NewBarrier(name, n)}
 }
 
+// stepEngine runs every body as a step process on Engine.
+type stepEngine struct{ coroEngine }
+
+func (e stepEngine) Spawn(name string, body func(fzProc)) {
+	e.Engine.SpawnStep(name, func(p *Proc) { body(p) })
+}
+
 type coroGate struct{ *Gate }
 
-func (g coroGate) Acquire(p fzProc) { g.Gate.Acquire(p.(*Proc)) }
+func (g coroGate) Acquire(p fzProc) bool { return g.Gate.Acquire(p.(*Proc)) }
 
 type coroBarrier struct{ *Barrier }
 
-func (b coroBarrier) Wait(p fzProc) { b.Barrier.Wait(p.(*Proc)) }
+func (b coroBarrier) Wait(p fzProc) bool { return b.Barrier.Wait(p.(*Proc)) }
 
 type refEngineAdapter struct{ *refEngine }
 
 func (e refEngineAdapter) Spawn(name string, body func(fzProc)) {
-	e.refEngine.Spawn(name, func(p *refProc) { body(p) })
+	e.refEngine.Spawn(name, func(p *refProc) { body(refProcAdapter{p}) })
+}
+
+// refProcAdapter reports false from every blocking call: a goroutine
+// process blocks in it instead of parking.
+type refProcAdapter struct{ *refProc }
+
+func (p refProcAdapter) Sleep(d Time) bool {
+	p.refProc.Sleep(d)
+	return false
+}
+
+func (p refProcAdapter) SleepUntil(t Time) bool {
+	p.refProc.SleepUntil(t)
+	return false
+}
+
+func (p refProcAdapter) WaitFor(register func(wake func())) bool {
+	p.refProc.WaitFor(register)
+	return false
 }
 func (e refEngineAdapter) newGate(name string, cap int) fzGate {
 	return refGateAdapter{newRefGate(name, cap)}
@@ -402,8 +518,14 @@ func (e refEngineAdapter) newBarrier(name string, n int) fzBarrier {
 
 type refGateAdapter struct{ *refGate }
 
-func (g refGateAdapter) Acquire(p fzProc) { g.refGate.Acquire(p.(*refProc)) }
+func (g refGateAdapter) Acquire(p fzProc) bool {
+	g.refGate.Acquire(p.(refProcAdapter).refProc)
+	return false
+}
 
 type refBarrierAdapter struct{ *refBarrier }
 
-func (b refBarrierAdapter) Wait(p fzProc) { b.refBarrier.Wait(p.(*refProc)) }
+func (b refBarrierAdapter) Wait(p fzProc) bool {
+	b.refBarrier.Wait(p.(refProcAdapter).refProc)
+	return false
+}

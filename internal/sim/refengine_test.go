@@ -10,7 +10,9 @@ import (
 // test-only reference: every process is a goroutine driven through a
 // resume/park channel handshake, events sit in a container/heap queue,
 // and each wake-up is a fresh closure. FuzzEngineEquivalence runs the
-// same programs on it and on Engine and requires identical behaviour.
+// same programs on it and on Engine and requires identical behaviour. A
+// panic in a process body is caught on the process's goroutine and
+// raised again on the engine's, so it comes out of Run as on Engine.
 
 type refEvent struct {
 	t   Time
@@ -38,18 +40,18 @@ func (h *refHeap) Pop() any {
 }
 
 type refEngine struct {
-	now       Time
-	events    refHeap
-	seq       int64
-	nEvents   int64
-	liveProcs int
-	parked    map[*refProc]struct{}
-	running   bool
-	tracer    Tracer
+	now     Time
+	events  refHeap
+	seq     int64
+	nEvents int64
+	// live holds the spawned processes that have not finished.
+	live    map[*refProc]struct{}
+	running bool
+	tracer  Tracer
 }
 
 func newRefEngine() *refEngine {
-	return &refEngine{parked: make(map[*refProc]struct{})}
+	return &refEngine{live: make(map[*refProc]struct{})}
 }
 
 func (e *refEngine) Now() Time           { return e.now }
@@ -86,13 +88,13 @@ func (e *refEngine) Run() error {
 		}
 		ev.fn()
 	}
-	if e.liveProcs > 0 {
-		names := make([]string, 0, len(e.parked))
-		for p := range e.parked {
+	if len(e.live) > 0 {
+		names := make([]string, 0, len(e.live))
+		for p := range e.live {
 			names = append(names, p.Name)
 		}
 		sort.Strings(names)
-		return fmt.Errorf("sim: deadlock, %d process(es) still blocked: %v", e.liveProcs, names)
+		return fmt.Errorf("sim: deadlock, %d process(es) still blocked: %v", len(e.live), names)
 	}
 	return nil
 }
@@ -103,6 +105,8 @@ type refProc struct {
 	resume   chan struct{}
 	park     chan struct{}
 	finished bool
+	// panicked is the value the body panicked with, if it did.
+	panicked any
 }
 
 func (e *refEngine) Spawn(name string, fn func(*refProc)) *refProc {
@@ -112,37 +116,40 @@ func (e *refEngine) Spawn(name string, fn func(*refProc)) *refProc {
 		resume: make(chan struct{}),
 		park:   make(chan struct{}),
 	}
-	e.liveProcs++
+	e.live[p] = struct{}{}
 	if e.tracer != nil {
 		e.tracer.Process(e.now, name, "spawn")
 	}
 	go func() {
 		<-p.resume
+		defer func() {
+			p.panicked = recover()
+			p.finished = true
+			p.park <- struct{}{}
+		}()
 		fn(p)
-		p.finished = true
-		p.park <- struct{}{}
 	}()
 	e.After(0, func() { e.activate(p) })
 	return p
 }
 
 func (e *refEngine) activate(p *refProc) {
-	delete(e.parked, p)
 	if e.tracer != nil {
 		e.tracer.Process(e.now, p.Name, "resume")
 	}
 	p.resume <- struct{}{}
 	<-p.park
+	if p.panicked != nil {
+		// The process stays live, as on Engine.
+		panic(p.panicked)
+	}
 	if p.finished {
-		e.liveProcs--
+		delete(e.live, p)
 		if e.tracer != nil {
 			e.tracer.Process(e.now, p.Name, "finish")
 		}
-	} else {
-		e.parked[p] = struct{}{}
-		if e.tracer != nil {
-			e.tracer.Process(e.now, p.Name, "park")
-		}
+	} else if e.tracer != nil {
+		e.tracer.Process(e.now, p.Name, "park")
 	}
 }
 

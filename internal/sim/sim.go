@@ -1,16 +1,26 @@
 // Package sim is a deterministic discrete-event simulation engine. It is
 // the substrate under internal/piuma, standing in for the proprietary
 // PIUMA architecture simulator the paper used: components are modeled as
-// processes (coroutines driven by the engine, exactly one runnable at a
-// time) and contended resources (FIFO bandwidth servers), and time
-// advances event-to-event rather than cycle-by-cycle so that graphs with
-// millions of edges simulate in seconds.
+// processes (exactly one runnable at a time) and contended resources
+// (FIFO bandwidth servers), and time advances event-to-event rather than
+// cycle-by-cycle so that graphs with millions of edges simulate in
+// seconds.
+//
+// A process takes one of two forms. A coroutine process (Spawn) is a
+// body that blocks inside the primitives and keeps its state on its own
+// stack; the DMA kernels use it. A step process (SpawnStep) is a step
+// function that the engine calls on every activation and that returns
+// when it parks, keeping its state in its own fields — a PIUMA hardware
+// thread is a few registers of in-order state, not a stack. The
+// loop-unrolled kernel and the random walk use it; switching to one is a
+// plain function call instead of a coroutine switch. Both forms share
+// the event queue, the primitives, deadlock detection and the tracer
+// calls, so one program gives the same events in either form.
 //
 // Determinism: the engine orders simultaneous events by scheduling
 // sequence number, and only one process ever executes at a time (the
-// engine resumes a process's coroutine and runs nothing else until it
-// yields back), so a given program produces an identical event trace on
-// every run.
+// engine runs a process until it parks and runs nothing else meanwhile),
+// so a given program produces an identical event trace on every run.
 package sim
 
 import (
@@ -176,54 +186,92 @@ func (e *Engine) Run() error {
 	return fmt.Errorf("sim: deadlock, %d process(es) still blocked: %v", len(e.live), names)
 }
 
-// Proc is a simulated process. The function passed to Spawn runs as a
-// coroutine (iter.Pull): the engine transfers control to it and it
-// returns control when it blocks or finishes, so exactly one process
-// runs at a time and processes may freely read and write shared
-// simulation state without locks.
+// Proc is a simulated process. Exactly one process runs at a time, and
+// it runs until it parks or finishes, so processes may freely read and
+// write shared simulation state without locks.
 //
-// A panic inside a process body unwinds the process and comes out of
+// The blocking primitives (Sleep, SleepUntil, WaitFor, Gate.Acquire,
+// Barrier.Wait) serve both process forms. In a coroutine process they
+// block until the process is resumed and then report false. In a step
+// process they never block: they report true when the process parked,
+// and the step must then return at once; the engine calls it again on
+// the wake-up. A step that returns without parking has finished.
+//
+// A panic inside a process body or step unwinds it and comes out of
 // Engine.Run on the caller's goroutine, where it can be recovered. A
 // recover deferred inside the body itself still catches it first.
 type Proc struct {
 	Name string
 	eng  *Engine
-	// next runs the body until it yields (blocks) or returns; yield,
-	// called from inside the body, hands control back to the engine.
+	// A coroutine process (iter.Pull) runs next until it yields (parks)
+	// or returns; yield, called from inside the body, hands control back
+	// to the engine.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
-	// wake resumes the process; WaitFor hands it out.
+	// A step process runs step once per activation; parks counts the
+	// times the current activation parked.
+	step  func(*Proc)
+	parks int
+	// wake resumes the process; WaitFor makes it on first use and hands
+	// it out.
 	wake func()
 	// live is the index of the process in Engine.live.
 	live int
 }
 
-// Spawn creates a process and schedules its first activation at the
-// current time. fn must only block via the Proc's own primitives.
+// Spawn creates a coroutine process and schedules its first activation
+// at the current time. fn must only block via the Proc's own primitives.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{Name: name, eng: e, live: len(e.live)}
-	p.wake = func() { e.activate(p) }
+	p := &Proc{Name: name, eng: e}
 	// The stop func is not kept: a body that returns ends its coroutine,
 	// and Run reports a body that never does as deadlocked.
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		fn(p)
 	})
-	e.live = append(e.live, p)
-	if e.tracer != nil {
-		e.tracer.Process(e.now, name, "spawn")
-	}
-	e.schedule(e.now, p, nil)
+	e.start(p)
 	return p
 }
 
-// activate transfers control to p until it blocks or finishes. Must be
-// called from engine context (an event function or another process).
+// SpawnStep creates a step process and schedules its first activation
+// at the current time. The engine calls step on every activation; step
+// keeps its progress outside the call and returns when a primitive
+// reports that the process parked, or returns without parking to finish.
+func (e *Engine) SpawnStep(name string, step func(*Proc)) *Proc {
+	p := &Proc{Name: name, eng: e, step: step}
+	e.start(p)
+	return p
+}
+
+// start registers a new process and schedules its first activation.
+func (e *Engine) start(p *Proc) {
+	p.live = len(e.live)
+	e.live = append(e.live, p)
+	if e.tracer != nil {
+		e.tracer.Process(e.now, p.Name, "spawn")
+	}
+	e.schedule(e.now, p, nil)
+}
+
+// activate runs p until it parks or finishes. Must be called from engine
+// context (an event function or another process).
 func (e *Engine) activate(p *Proc) {
 	if e.tracer != nil {
 		e.tracer.Process(e.now, p.Name, "resume")
 	}
-	if _, blocked := p.next(); blocked {
+	var parked bool
+	if p.step != nil {
+		p.parks = 0
+		p.step(p)
+		if p.parks > 1 {
+			// A second wake-up is now scheduled for the same process.
+			panic(fmt.Sprintf("sim: step process %q parked %d times in one activation", p.Name, p.parks))
+		}
+		parked = p.parks == 1
+	} else {
+		_, parked = p.next()
+	}
+	if parked {
 		if e.tracer != nil {
 			e.tracer.Process(e.now, p.Name, "park")
 		}
@@ -239,8 +287,17 @@ func (e *Engine) activate(p *Proc) {
 	}
 }
 
-// suspend hands control back to the engine until p is reactivated.
-func (p *Proc) suspend() { p.yield(struct{}{}) }
+// park follows the registration of p's wake-up. A coroutine process
+// hands control back to the engine until it is reactivated and reports
+// false; a step process records that it parked and reports true.
+func (p *Proc) park() bool {
+	if p.step == nil {
+		p.yield(struct{}{})
+		return false
+	}
+	p.parks++
+	return true
+}
 
 // Engine returns the engine driving this process.
 func (p *Proc) Engine() *Engine { return p.eng }
@@ -248,31 +305,36 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// Sleep suspends the process for d.
-func (p *Proc) Sleep(d Time) {
+// Sleep suspends the process for d (see SleepUntil).
+func (p *Proc) Sleep(d Time) bool {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
-	p.SleepUntil(p.eng.now + d)
+	return p.SleepUntil(p.eng.now + d)
 }
 
-// SleepUntil suspends the process until absolute time t (no-op if t is
-// not in the future).
-func (p *Proc) SleepUntil(t Time) {
+// SleepUntil suspends the process until absolute time t. It is a no-op
+// reporting false if t is not in the future; otherwise it reports
+// whether a step process parked (see Proc).
+func (p *Proc) SleepUntil(t Time) bool {
 	if t <= p.eng.now {
-		return
+		return false
 	}
 	p.eng.schedule(t, p, nil)
-	p.suspend()
+	return p.park()
 }
 
 // WaitFor parks the process and hands the caller a wake function that
 // must eventually be invoked from engine context (an event or another
 // process) to resume it. It is the building block for queues, barriers
-// and condition-style waits.
-func (p *Proc) WaitFor(register func(wake func())) {
+// and condition-style waits. It reports whether a step process parked
+// (see Proc).
+func (p *Proc) WaitFor(register func(wake func())) bool {
+	if p.wake == nil {
+		p.wake = func() { p.eng.activate(p) }
+	}
 	register(p.wake)
-	p.suspend()
+	return p.park()
 }
 
 // Server is a FIFO resource with a single service timeline — the model
@@ -348,15 +410,18 @@ func NewGate(name string, cap int) *Gate {
 	return &Gate{Name: name, cap: cap}
 }
 
-// Acquire blocks p until a slot is free.
-func (g *Gate) Acquire(p *Proc) {
+// Acquire blocks p until a slot is free. It reports whether a step
+// process parked (see Proc); it holds the slot when it is next
+// activated.
+func (g *Gate) Acquire(p *Proc) bool {
 	if g.held < g.cap {
 		g.held++
-		return
+		return false
 	}
 	g.waiters.push(p)
-	p.suspend()
-	// The releaser incremented held on our behalf before waking us.
+	// The releaser keeps held unchanged, handing us its slot, before
+	// waking us.
+	return p.park()
 }
 
 // Release frees a slot from engine context (an event function or a
@@ -423,8 +488,9 @@ func NewBarrier(name string, n int) *Barrier {
 }
 
 // Wait blocks p until all n participants have arrived. The last arrival
-// does not block and wakes the others.
-func (b *Barrier) Wait(p *Proc) {
+// does not block: it resumes the others, in arrival order, before Wait
+// returns. Wait reports whether a step process parked (see Proc).
+func (b *Barrier) Wait(p *Proc) bool {
 	b.arrived++
 	if b.arrived > b.n {
 		panic(fmt.Sprintf("sim: barrier %q overflow (%d arrivals for %d parties)", b.Name, b.arrived, b.n))
@@ -434,8 +500,8 @@ func (b *Barrier) Wait(p *Proc) {
 			w.eng.activate(w)
 		}
 		b.waiters = nil
-		return
+		return false
 	}
 	b.waiters = append(b.waiters, p)
-	p.suspend()
+	return p.park()
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -363,6 +364,26 @@ func BenchmarkProcessSwitch(b *testing.B) {
 	}
 }
 
+// BenchmarkStepSwitch is BenchmarkProcessSwitch for a step process:
+// each iteration is one sleep round trip, a scheduled wake-up and a
+// call of the step.
+func BenchmarkStepSwitch(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	n := 0
+	e.SpawnStep("p", func(p *Proc) {
+		for n < b.N {
+			n++
+			if p.Sleep(1) {
+				return
+			}
+		}
+	})
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 func TestRunReentrancyRejected(t *testing.T) {
 	e := NewEngine()
 	var innerErr error
@@ -446,5 +467,48 @@ func TestContendedGateAllocatesNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("contended Gate Acquire/Release allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// A step process's sleep round trip allocates nothing either: a run
+// with a thousand times the sleeps allocates as much as one with ten.
+func TestStepSleepAllocatesNothing(t *testing.T) {
+	allocs := func(sleeps int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			e := NewEngine()
+			n := 0
+			e.SpawnStep("sleeper", func(p *Proc) {
+				for n < sleeps {
+					n++
+					if p.Sleep(1) {
+						return
+					}
+				}
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(10000); few != many {
+		t.Fatalf("10 sleeps allocate %.1f objects, 10000 sleeps %.1f", few, many)
+	}
+}
+
+// A step that parks must return: parking again in the same activation
+// schedules a second wake-up, so Run panics once the step returns.
+func TestStepParkTwicePanics(t *testing.T) {
+	e := NewEngine()
+	e.SpawnStep("twice", func(p *Proc) {
+		p.Sleep(1)
+		p.Sleep(2)
+	})
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		_ = e.Run()
+		return nil
+	}()
+	if msg, _ := got.(string); !strings.Contains(msg, `"twice" parked 2 times`) {
+		t.Fatalf("recovered %v from Run, want the parked-twice panic", got)
 	}
 }
