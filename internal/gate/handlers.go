@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"piumagcn/internal/bench"
@@ -637,11 +638,22 @@ func (g *Gate) relay(w http.ResponseWriter, resp *http.Response, rep *Replica) {
 		h.Set(BackendHeader, rep.Name)
 	}
 	w.WriteHeader(resp.StatusCode)
-	if _, err := io.Copy(w, resp.Body); err != nil {
+	// Copy through Write with a pooled buffer. io.Copy would hand a
+	// body with a Content-Length to the connection's ReadFrom, which
+	// allocates a fresh 32 KiB buffer for every response.
+	buf := relayBufs.Get().(*[]byte)
+	defer relayBufs.Put(buf)
+	if _, err := io.CopyBuffer(struct{ io.Writer }{w}, resp.Body, *buf); err != nil {
 		// Headers are gone; failover is impossible. Count it.
 		g.metrics.incProxyError()
 	}
 }
+
+// relayBufs holds relay's copy buffers.
+var relayBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
 
 // discard drains and closes a response kept only provisionally.
 func discard(resp *http.Response) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"sort"
@@ -172,6 +173,8 @@ func (s *Server) restore() {
 			r.status = StatusQueued
 			requeue = append(requeue, r)
 		case rs.Status == string(StatusDone):
+			// Decode the record only to validate it; the run keeps the
+			// journaled bytes, in their stored form, and nothing else.
 			var rep bench.Report
 			if err := json.Unmarshal(rs.Report, &rep); err != nil || rep.ID == "" {
 				cancel()
@@ -179,7 +182,7 @@ func (s *Server) restore() {
 				continue
 			}
 			r.status = StatusDone
-			r.report = &rep
+			r.report = indentReport(rs.Report)
 			close(r.done)
 			cancel()
 			rec.CachedReports++
@@ -187,7 +190,8 @@ func (s *Server) restore() {
 		case rs.Status == string(StatusFailed) || rs.Status == string(StatusCanceled) || rs.Status == string(StatusTimeout):
 			r.status = Status(rs.Status)
 			r.errMsg = rs.Error
-			r.report = cp.PartialReport(e)
+			// A report is all strings, which always encode.
+			_, r.report, _ = encodeReport(cp.PartialReport(e))
 			close(r.done)
 			cancel()
 			terminals = append(terminals, terminalRun{r, rs.TerminalSeq})
@@ -276,8 +280,11 @@ func (s *Server) canonicalRecordsLocked() []store.Record {
 		}
 		switch r.status {
 		case StatusDone:
-			if raw, err := json.Marshal(r.report); err == nil {
-				recs = append(recs, store.Completed(r.id, raw))
+			// Compacting the stored form gives back the bytes the run
+			// journaled when it finished.
+			var raw bytes.Buffer
+			if err := json.Compact(&raw, r.report); err == nil {
+				recs = append(recs, store.Completed(r.id, raw.Bytes()))
 			}
 		case StatusFailed, StatusTimeout:
 			recs = append(recs, store.Failed(r.id, string(r.status), r.errMsg))

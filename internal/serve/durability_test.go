@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -42,8 +43,9 @@ func shutdownAndClose(t *testing.T, s *serve.Server, st *store.Store) {
 }
 
 // TestRestartRecoversResultCache: a completed run's report survives a
-// shutdown/reopen cycle — same run ID, byte-identical report, and a
-// resubmission after the restart is a cache hit, not a re-simulation.
+// shutdown/reopen cycle — same run ID, a GET answering with the same
+// report bytes as before the restart, and a resubmission after the
+// restart is a cache hit, not a re-simulation.
 func TestRestartRecoversResultCache(t *testing.T) {
 	dir := t.TempDir()
 	exp := sweepExperiment("sweep", 2, nil, nil, 0)
@@ -55,7 +57,7 @@ func TestRestartRecoversResultCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	v = waitStatus(t, s1, v.ID, serve.StatusDone)
-	wantReport := v.Report.String()
+	wantReport := reportMember(t, doJSON(t, s1.Handler(), "GET", "/v1/runs/"+v.ID, ""))
 	shutdownAndClose(t, s1, st1)
 
 	st2 := openStore(t, dir)
@@ -66,11 +68,12 @@ func TestRestartRecoversResultCache(t *testing.T) {
 	if !ok {
 		t.Fatalf("run %s not restored after restart", v.ID)
 	}
-	if got.Status != serve.StatusDone || got.Report == nil {
-		t.Fatalf("restored run = %q (report %v), want done with report", got.Status, got.Report != nil)
+	if got.Status != serve.StatusDone || got.ReportJSON == nil {
+		t.Fatalf("restored run = %q (report %v), want done with report", got.Status, got.ReportJSON != nil)
 	}
-	if got.Report.String() != wantReport {
-		t.Fatalf("restored report drifted:\n--- before ---\n%s\n--- after ---\n%s", wantReport, got.Report.String())
+	gotReport := reportMember(t, doJSON(t, s2.Handler(), "GET", "/v1/runs/"+v.ID, ""))
+	if len(wantReport) == 0 || !bytes.Equal(gotReport, wantReport) {
+		t.Fatalf("restored report drifted:\n--- before ---\n%s\n--- after ---\n%s", wantReport, gotReport)
 	}
 	if rec := s2.Recovery(); !rec.Enabled || rec.RestoredRuns != 1 || rec.CachedReports != 1 {
 		t.Fatalf("recovery stats = %+v", rec)
@@ -178,8 +181,8 @@ func TestRestartRestoresFailedRunWithPartialReport(t *testing.T) {
 	if !strings.Contains(got.Err, "flaky backend") {
 		t.Fatalf("restored error = %q", got.Err)
 	}
-	if got.Report == nil || !strings.Contains(got.Report.String(), "Completed sweep points (1)") {
-		t.Fatalf("restored partial report = %v", got.Report)
+	if out := reportText(t, got); !strings.Contains(out, "Completed sweep points (1)") {
+		t.Fatalf("restored partial report = %q", out)
 	}
 }
 

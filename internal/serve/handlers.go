@@ -119,7 +119,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if existing || v.Status.terminal() {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, resourceFromView(v, existing))
+	writeRun(w, status, v, existing)
 }
 
 func writeSubmitError(w http.ResponseWriter, err error) {
@@ -151,8 +151,7 @@ func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 		if filter != "" && v.Status != filter {
 			continue
 		}
-		// The listing stays light: reports are fetched per run.
-		v.Report = nil
+		// The listing stays light: heads only, reports are fetched per run.
 		out = append(out, resourceFromView(v, false))
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -183,7 +182,7 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, resourceFromView(v, false))
+	writeRun(w, http.StatusOK, v, false)
 }
 
 // waitBudgeted blocks on a run like Wait, additionally bounded by the
@@ -248,7 +247,7 @@ func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resourceFromView(v, false))
+	writeRun(w, http.StatusOK, v, false)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -129,10 +129,10 @@ func TestTimeoutReportsDistinctStatusWithPartialReport(t *testing.T) {
 	if !strings.Contains(got.Err, "timeout") {
 		t.Fatalf("timeout run error = %q", got.Err)
 	}
-	if got.Report == nil {
+	out := reportText(t, got)
+	if out == "" {
 		t.Fatal("timed-out run has no partial report")
 	}
-	out := got.Report.String()
 	if !strings.Contains(out, "(partial)") || !strings.Contains(out, "sweep point=0") {
 		t.Fatalf("partial report missing checkpointed point:\n%s", out)
 	}
@@ -172,7 +172,7 @@ func TestUserCancelStaysCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := waitStatus(t, s, v.ID, serve.StatusCanceled)
-	if got.Report == nil || !strings.Contains(got.Report.String(), "sweep point=0") {
+	if !strings.Contains(reportText(t, got), "sweep point=0") {
 		t.Fatal("canceled run lost its partial report")
 	}
 }
@@ -205,7 +205,7 @@ func TestCancelWhileQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := waitStatus(t, s, qv.ID, serve.StatusCanceled)
-	if got.Report != nil {
+	if got.ReportJSON != nil {
 		t.Fatal("never-started run has a report")
 	}
 	// Release the worker; it must skip the canceled record and stay
@@ -240,8 +240,8 @@ func TestTransientFailureRetriesAndResumes(t *testing.T) {
 	if got.Retries != 1 {
 		t.Fatalf("RunView.Retries = %d, want 1", got.Retries)
 	}
-	if got.Report == nil || !strings.Contains(got.Report.String(), "3 points") {
-		t.Fatalf("retried run did not complete the sweep: %+v", got.Report)
+	if out := reportText(t, got); !strings.Contains(out, "3 points") {
+		t.Fatalf("retried run did not complete the sweep: %s", out)
 	}
 }
 
@@ -272,7 +272,7 @@ func TestRetriesExhaustedReportsFailed(t *testing.T) {
 	if got.Retries != 2 {
 		t.Fatalf("RunView.Retries = %d, want 2", got.Retries)
 	}
-	if got.Report == nil || !strings.Contains(got.Report.String(), "attempt-1") {
+	if !strings.Contains(reportText(t, got), "attempt-1") {
 		t.Fatal("failed run lost its partial report")
 	}
 }

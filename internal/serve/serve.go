@@ -204,7 +204,9 @@ type run struct {
 	limit    time.Duration
 
 	status Status
-	report *bench.Report
+	// report is the run's report in its stored form (encodeReport):
+	// encoded once when the run finishes, nil when it has none.
+	report []byte
 	// profile aggregates the run's event-level simulations (per-
 	// component utilization); nil until the experiment returns, and for
 	// runs canceled before execution.
@@ -231,7 +233,10 @@ type RunView struct {
 	Experiment string
 	Options    bench.Options
 	Status     Status
-	Report     *bench.Report
+	// ReportJSON is the run's report as the "report" member of its run
+	// resource carries it (nil when the run has none); it decodes into a
+	// bench.Report. The slice is shared: treat it as read-only.
+	ReportJSON []byte
 	Err        string
 	// Retries counts transient-failure re-executions this run consumed.
 	Retries   int
@@ -252,7 +257,7 @@ func (r *run) view() RunView {
 		Experiment: r.exp.ID,
 		Options:    r.opts,
 		Status:     r.status,
-		Report:     r.report,
+		ReportJSON: r.report,
 		Err:        r.errMsg,
 		Retries:    r.retries,
 		Submitted:  r.submitted,
@@ -545,7 +550,7 @@ func (s *Server) Cancel(id string) (RunView, error) {
 	}
 	r.cancel()
 	if r.status == StatusQueued {
-		s.finishLocked(r, nil, context.Canceled, false)
+		s.finishLocked(r, s.clock.Now(), nil, nil, context.Canceled, false)
 	}
 	v := r.view()
 	s.mu.Unlock()
@@ -597,7 +602,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			queued++
 			s.mu.Lock()
 			if !r.status.terminal() {
-				s.finishLocked(r, nil, context.Canceled, false)
+				s.finishLocked(r, s.clock.Now(), nil, nil, context.Canceled, false)
 			}
 			s.mu.Unlock()
 			continue
@@ -759,10 +764,19 @@ func (s *Server) execute(r *run) {
 	// the deadline leaves Canceled here instead.
 	timedOut := timeoutCtx != nil &&
 		errors.Is(timeoutCtx.Err(), context.DeadlineExceeded)
+	// Encode the report once, outside the lock: the journal takes the
+	// compact form, the run keeps only the stored one. The run finished
+	// when the experiment returned; encoding is not part of its elapsed
+	// time.
+	finished := s.clock.Now()
+	compact, stored, encErr := encodeReport(rep)
+	if encErr != nil && err == nil {
+		err = fmt.Errorf("encoding the report of %s: %w", r.exp.ID, encErr)
+	}
 
 	s.mu.Lock()
 	r.profile = prof.Profile()
-	s.finishLocked(r, rep, err, timedOut)
+	s.finishLocked(r, finished, compact, stored, err, timedOut)
 	s.mu.Unlock()
 	s.maybeCompact()
 }
@@ -791,22 +805,23 @@ func (s *Server) backoff(ctx context.Context, try int) bool {
 }
 
 // finishLocked moves a run to its terminal status, closes done, frees
-// its context, records metrics and applies cache eviction. timedOut
-// distinguishes a RunTimeout kill from a caller cancel — both surface
-// as context errors from the experiment, but they are different facts
-// and report different statuses. Interrupted and failed runs keep any
-// partial report their checkpoint produced. Callers hold s.mu.
-func (s *Server) finishLocked(r *run, rep *bench.Report, err error, timedOut bool) {
-	r.finished = s.clock.Now()
+// its context, records metrics and applies cache eviction. finished
+// stamps the terminal transition; compact and stored are the run's
+// report as encodeReport renders it (nil when there is none). timedOut distinguishes a RunTimeout kill from a
+// caller cancel — both surface as context errors from the experiment,
+// but they are different facts and report different statuses.
+// Interrupted and failed runs keep any partial report their checkpoint
+// produced. Callers hold s.mu.
+func (s *Server) finishLocked(r *run, finished time.Time, compact, stored []byte, err error, timedOut bool) {
+	r.finished = finished
+	r.report = stored
 	switch {
 	case err == nil:
 		r.status = StatusDone
-		r.report = rep
 		s.metrics.observeCompleted(r.exp.ID, r.finished.Sub(r.started))
 		s.metrics.recordProfile(r.exp.ID, r.profile)
 	case timedOut:
 		r.status = StatusTimeout
-		r.report = rep
 		lim := r.limit
 		if lim <= 0 {
 			lim = s.cfg.RunTimeout
@@ -815,12 +830,10 @@ func (s *Server) finishLocked(r *run, rep *bench.Report, err error, timedOut boo
 		s.metrics.incTimedOut()
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		r.status = StatusCanceled
-		r.report = rep
 		r.errMsg = err.Error()
 		s.metrics.incCanceled()
 	default:
 		r.status = StatusFailed
-		r.report = rep
 		r.errMsg = err.Error()
 		s.metrics.incFailed()
 	}
@@ -831,13 +844,7 @@ func (s *Server) finishLocked(r *run, rep *bench.Report, err error, timedOut boo
 	// kill -9 recovery).
 	switch {
 	case r.status == StatusDone:
-		if raw, jerr := json.Marshal(rep); jerr == nil {
-			s.journal(store.Completed(r.id, raw))
-		} else {
-			// An unencodable report cannot reach the journal; count the
-			// durability gap like any other failed append.
-			s.metrics.incJournalAppendError()
-		}
+		s.journal(store.Completed(r.id, compact))
 	case r.status == StatusCanceled && s.draining:
 		s.preserved++
 	default:

@@ -53,6 +53,31 @@ func decodeRun(t *testing.T, w *httptest.ResponseRecorder) serve.RunResource {
 	return res
 }
 
+// reportMember returns the raw bytes of a run response's "report"
+// member, exactly as they went over the wire (nil when absent).
+func reportMember(t *testing.T, w *httptest.ResponseRecorder) []byte {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(w.Body.Bytes(), &m); err != nil {
+		t.Fatalf("decoding run resource: %v\nbody: %s", err, w.Body.String())
+	}
+	return m["report"]
+}
+
+// reportText decodes a run's stored report and renders it as text ("" when
+// the run has no report).
+func reportText(t *testing.T, v serve.RunView) string {
+	t.Helper()
+	if v.ReportJSON == nil {
+		return ""
+	}
+	var rep bench.Report
+	if err := json.Unmarshal(v.ReportJSON, &rep); err != nil {
+		t.Fatalf("decoding the report of run %s: %v", v.ID, err)
+	}
+	return rep.String()
+}
+
 // waitStatus polls until the run reaches want (or any terminal state if
 // want is empty) and returns the final view.
 func waitStatus(t *testing.T, s *serve.Server, id string, want serve.Status) serve.RunView {

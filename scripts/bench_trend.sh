@@ -7,15 +7,15 @@
 #
 # Usage: scripts/bench_trend.sh [packages...]
 #        (default: the load-generator, store, gossip-codec,
-#        gate-submit and lint hot paths, plus the simulation engine
-#        and the simulated kernels)
+#        gate-submit, serve hit/miss and lint hot paths, plus the
+#        simulation engine and the simulated kernels)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 OUT="BENCH_TREND.json"
 PKGS=("$@")
 if [ ${#PKGS[@]} -eq 0 ]; then
-    PKGS=(./internal/workload/ ./internal/store/ ./internal/gossip/ ./internal/gate/ ./internal/lint/ ./internal/sim/ ./internal/piuma/kernels/)
+    PKGS=(./internal/workload/ ./internal/store/ ./internal/gossip/ ./internal/gate/ ./internal/serve/ ./internal/lint/ ./internal/sim/ ./internal/piuma/kernels/)
 fi
 
 # A record taken from an uncommitted tree is marked "-dirty".
