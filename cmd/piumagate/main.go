@@ -29,6 +29,16 @@
 // resubmitted to the next healthy replica — safe because RunIDs are
 // content addresses and runs are journaled server-side, so the worst
 // case is a dedup or cache hit, never a duplicate simulation.
+//
+// Liveness: -markdown-after consecutive failed probes, a forwarded
+// request dying on the wire, or (with -gossip-interval) gossip moving
+// a replica to suspect or dead demotes it. Only a passing probe or a
+// submission it answers promotes it again, so with gossip on and
+// probing off (-probe-interval -1) a demoted replica stays down.
+// -breaker-threshold consecutive 5xx submit responses open its
+// circuit; the cooldown before the half-open trial follows the probe
+// backoff (-probe-interval, doubling per consecutive failure, capped
+// at 30s, seeded jitter).
 package main
 
 import (
@@ -85,11 +95,10 @@ func main() {
 		burst         = flag.Float64("burst", 0, "admission token-bucket depth (0 = max(1, rate))")
 		probeInterval = flag.Duration("probe-interval", time.Second, "health-probe period (negative disables active probing)")
 		probeTimeout  = flag.Duration("probe-timeout", 2*time.Second, "per-probe deadline")
-		seed          = flag.Int64("seed", 1, "seed for probe-backoff jitter (reproducibility)")
+		seed          = flag.Int64("seed", 1, "seed for probe-backoff and circuit-cooldown jitter (reproducibility)")
 		grace         = flag.Duration("shutdown-grace", 30*time.Second, "drain deadline after SIGTERM")
 		markDown      = flag.Int("markdown-after", 2, "consecutive probe failures before a replica is marked unhealthy")
-		brkThreshold  = flag.Int("breaker-threshold", 3, "consecutive submit failures that open a backend's circuit (negative disables)")
-		brkCooldown   = flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit cooldown before the half-open probe")
+		brkThreshold  = flag.Int("breaker-threshold", 3, "consecutive 5xx submit responses that open a backend's circuit (its cooldown follows the probe backoff)")
 		hedgeDelay    = flag.Duration("hedge-delay", 0, "hedge idempotent run-status GETs to a second replica after this delay (0 disables)")
 		chaosSpec     = flag.String("chaos", "", "client-side chaos schedule applied to the fan-out transport (chaos.Spec, e.g. 'seed=7;fault=reset,target=b1,at=2s,for=3s')")
 		dataDir       = flag.String("data-dir", "", "journal admitted runs to <dir>/intake.wal and recover ownership on restart (empty = stateless gate)")
@@ -143,7 +152,6 @@ func main() {
 		ProbeTimeout:      *probeTimeout,
 		MarkDownAfter:     *markDown,
 		BreakerThreshold:  *brkThreshold,
-		BreakerCooldown:   *brkCooldown,
 		HedgeDelay:        *hedgeDelay,
 		Rate:              *rate,
 		Burst:             *burst,

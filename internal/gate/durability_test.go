@@ -211,10 +211,10 @@ func TestReconcilerRehomesOrphanedRuns(t *testing.T) {
 	}
 
 	// Permanent loss: the process dies and never comes back. The gate
-	// notices via passive mark-down (gossip confirmation is exercised in
+	// notices via a transport error (gossip confirmation is exercised in
 	// the determinism test below).
 	victim.ts.Close()
-	g.Registry().MarkDown(victimRep)
+	g.reg.observe(victimRep, transportError)
 
 	if n := g.ReconcileOnce(context.Background()); n != 1 {
 		t.Fatalf("first sweep mutated %d runs, want 1 (the orphan)", n)

@@ -6,10 +6,13 @@
 //
 // The moving parts:
 //
-//	Registry  — the replica set: active health probing through
-//	            serve.Client.Healthz with jittered exponential backoff
-//	            on flapping backends, plus passive mark-down when a
-//	            forwarded request hits a transport failure.
+//	Registry  — the replica set and one liveness record per replica:
+//	            health probes, forwarded requests and gossip suspicion
+//	            all change it through one transition function
+//	            (observe). Gossip demotes, but only a probe or an
+//	            answered submission promotes, so with probing off and
+//	            gossip on a demoted replica stays down. The open
+//	            circuit's cooldown follows the probe backoff.
 //	Router    — pluggable routing policies behind one interface:
 //	            round-robin (pure function of the request sequence),
 //	            least-loaded (fewest gate-tracked in-flight requests),
@@ -85,34 +88,35 @@ type Config struct {
 	// Policy selects the router: PolicyRoundRobin (default),
 	// PolicyLeastLoaded or PolicyCacheAffinity.
 	Policy string
-	// Seed drives the probe-backoff jitter. Routing itself consumes no
-	// randomness; the seed exists so the full gate process — probing
-	// included — is reproducible.
+	// Seed drives the backoff jitter of probes and circuit cooldowns.
+	// Routing itself consumes no randomness; the seed exists so the full
+	// gate process — probing included — is reproducible.
 	Seed int64
 	// ProbeInterval is the health-probe period (default 1s; negative
 	// disables the background probe loop — health then changes only
-	// through passive mark-down and explicit ProbeAll calls, which is
-	// what deterministic tests use).
+	// through forwarded requests, gossip and explicit ProbeAll calls,
+	// which is what deterministic tests use). It is also the base of the
+	// backoff schedule: a failing replica's next probe and an open
+	// circuit's cooldown both start at one interval and double per
+	// consecutive failure, capped at 30s, with seeded jitter on the
+	// upper half. With probing disabled the base is 1s.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe (default 2s).
 	ProbeTimeout time.Duration
-	// ProbeBackoffMax caps the exponential backoff between probes of a
-	// flapping backend (default 30s).
-	ProbeBackoffMax time.Duration
 	// MarkDownAfter is how many consecutive probe failures demote a
 	// replica to unhealthy (default 2) — hysteresis so one probe lost to
 	// a latency spike does not flap routing or move consistent-hash
-	// keys. Passive mark-down (a forwarded request hitting a transport
-	// failure) stays immediate: a died connection is hard evidence.
+	// keys. A forwarded request dying on the wire, or gossip moving
+	// the replica to suspect or dead, demotes at once. Only a passing
+	// probe or a submission answered below 500 promotes: gossip never
+	// does, so with probing off and gossip on a demoted replica stays
+	// down.
 	MarkDownAfter int
-	// BreakerThreshold is how many consecutive submit failures
-	// (transport errors or 5xx responses) open a backend's circuit
-	// (default 3; negative disables circuit breaking).
+	// BreakerThreshold is how many consecutive 5xx submit responses open
+	// a backend's circuit (default 3). The open circuit's cooldown
+	// follows the backoff schedule (see ProbeInterval), counted in
+	// consecutive 5xx.
 	BreakerThreshold int
-	// BreakerCooldown is the open→half-open delay (default 5s), with
-	// seeded full jitter on the upper half so breakers opened together
-	// do not probe in lockstep.
-	BreakerCooldown time.Duration
 	// HedgeDelay, when positive, hedges idempotent run-status GETs: if
 	// the first replica has not answered within the delay, the same
 	// read is raced against the next candidate and the first useful
@@ -155,9 +159,10 @@ type Config struct {
 	// the background protocol loop at this period, negative builds the
 	// gossip node but leaves ticking to explicit GossipTick calls
 	// (deterministic tests), zero disables gossip entirely. With gossip
-	// on, the suspicion thresholds below replace MarkDownAfter as the
-	// demotion hysteresis and each replica's self-reported queue depth
-	// feeds work stealing.
+	// on, a replica's move to suspect or dead demotes it (the suspicion
+	// thresholds below are gossip's own hysteresis), and each replica's
+	// self-reported queue depth feeds work stealing. Gossip never
+	// promotes a replica; probes do.
 	GossipInterval time.Duration
 	// GossipTimeout bounds one gossip exchange (default 1s).
 	GossipTimeout time.Duration
@@ -196,17 +201,11 @@ func (c Config) withDefaults() Config {
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 2 * time.Second
 	}
-	if c.ProbeBackoffMax <= 0 {
-		c.ProbeBackoffMax = 30 * time.Second
-	}
 	if c.MarkDownAfter <= 0 {
 		c.MarkDownAfter = 2
 	}
-	if c.BreakerThreshold == 0 {
+	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
 	}
 	if c.Burst <= 0 && c.Rate > 0 {
 		c.Burst = max(1, c.Rate)
@@ -249,7 +248,6 @@ type Gate struct {
 	node   *gossip.Node
 
 	seq   atomic.Uint64
-	btSeq atomic.Uint64 // breaker-transition sequence
 	rcSeq atomic.Uint64 // reconcile-decision sequence
 
 	stop   context.CancelFunc
@@ -342,20 +340,6 @@ func (g *Gate) Policy() string { return g.router.Policy() }
 // order). The background loop calls this on its ticker; tests call it
 // directly for deterministic health transitions.
 func (g *Gate) ProbeAll(ctx context.Context) { g.reg.ProbeAll(ctx) }
-
-// breakerMoved publishes one circuit transition to the metrics
-// families and the OnBreaker hook, in occurrence order. No-op for the
-// empty transition the breaker returns when nothing moved.
-func (g *Gate) breakerMoved(rep *Replica, from, to string) {
-	if to == "" {
-		return
-	}
-	t := BreakerTransition{Seq: g.btSeq.Add(1) - 1, Backend: rep.Name, From: from, To: to}
-	g.metrics.observeBreakerTransition(t)
-	if g.cfg.OnBreaker != nil {
-		g.cfg.OnBreaker(t)
-	}
-}
 
 // probeLoop drives active health probing until Shutdown.
 func (g *Gate) probeLoop(ctx context.Context) {

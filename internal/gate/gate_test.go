@@ -300,9 +300,9 @@ func TestProbeRecovery(t *testing.T) {
 	rep := g.Registry().All()[0]
 
 	down.Store(true)
-	g.Registry().MarkDown(rep)
+	g.reg.observe(rep, transportError)
 	if rep.Healthy() {
-		t.Fatal("MarkDown should demote")
+		t.Fatal("a transport error should demote")
 	}
 	// Still inside the backoff window: ProbeAll must not probe (the
 	// backend is down anyway, but the point is the skip).

@@ -9,12 +9,14 @@ import (
 
 // The gate participates in the replica gossip as a non-serving member
 // named "gate": it probes replicas through the same SWIM protocol the
-// replicas run among themselves, and consumes the converged view —
-// alive/suspect/dead states plus self-reported queue depths — in place
-// of (or alongside) its central prober. A replica the gossip layer
-// confirms dead is demoted in the registry exactly as a failed probe
-// would demote it, but the decision is backed by the whole cluster's
-// observations rather than one prober's vantage point.
+// replicas run among themselves. Each membership transition to suspect
+// or dead demotes the replica in the registry, backed by the whole
+// cluster's observations rather than one prober's vantage point. Gossip
+// never promotes: a replica it demoted comes back only through a
+// passing probe (or a submission it answers), so a process whose
+// gossip agent still answers while its /healthz fails — a draining
+// piumaserve — cannot talk its way back into routing. The converged
+// view also carries each replica's self-reported queue depth.
 
 // gateNodeName is the gate's member name in the gossip cluster.
 const gateNodeName = "gate"
@@ -41,6 +43,9 @@ func (g *Gate) newGossipNode() (*gossip.Node, error) {
 		OnEvent: func(e gossip.Event) {
 			if rep := g.reg.find(e.Node); rep != nil {
 				g.metrics.observeGossipEvent(rep.Name, e.State)
+				if e.State != gossip.StateAlive.String() {
+					g.reg.observe(rep, gossipDown)
+				}
 			}
 			if g.cfg.OnMembership != nil {
 				g.cfg.OnMembership(e)
@@ -57,28 +62,20 @@ func (g *Gate) newGossipNode() (*gossip.Node, error) {
 // for introspection and tests.
 func (g *Gate) Gossip() *gossip.Node { return g.node }
 
-// GossipTick runs one gossip protocol period and folds the resulting
-// view into the registry. The background loop calls this on its
-// ticker; deterministic tests call it directly.
+// GossipTick runs one gossip protocol period (whose membership
+// transitions reach the registry through OnEvent) and copies the
+// resulting view's queue depths and member states. The background loop
+// calls this on its ticker; deterministic tests call it directly.
 func (g *Gate) GossipTick(ctx context.Context) {
 	if g.node == nil {
 		return
 	}
 	g.node.Tick(ctx)
-	g.applyGossipView()
-}
-
-// applyGossipView maps the gossiped membership onto registry health
-// and per-replica queue depths: alive promotes, suspect and dead
-// demote (suspicion already carries SuspectAfter rounds of hysteresis,
-// the gossip analogue of MarkDownAfter).
-func (g *Gate) applyGossipView() {
 	for _, u := range g.node.View() {
 		rep := g.reg.find(u.Node)
 		if rep == nil {
 			continue // the gate's own entry, or an unknown member
 		}
-		g.reg.SetHealth(rep, u.State == gossip.StateAlive)
 		rep.setGossipQueue(int(u.QueueDepth))
 		g.metrics.setMemberState(rep.Name, float64(u.State))
 	}

@@ -164,13 +164,13 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusGatewayTimeout, "deadline budget exhausted at the gate")
 			return
 		}
-		// Circuit filter: route only among backends whose breaker admits
+		// Circuit filter: route only among backends whose circuit admits
 		// traffic right now (closed, cooled-down open, or half-open with
-		// a free probe slot).
+		// a free trial slot).
 		now := g.clock.Now()
 		avail := make([]*Replica, 0, len(candidates))
 		for _, rep := range candidates {
-			if rep.breaker.available(now) {
+			if rep.admits(now) {
 				avail = append(avail, rep)
 			}
 		}
@@ -179,10 +179,8 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		rep := g.router.Pick(rc, avail)
-		ok, from, to := rep.breaker.acquire(now)
-		g.breakerMoved(rep, from, to)
-		if !ok {
-			// A concurrent request took the half-open probe slot between
+		if !g.reg.observe(rep, claim) {
+			// A concurrent request took the half-open trial slot between
 			// the availability check and the claim.
 			candidates = without(candidates, rep)
 			continue
@@ -203,7 +201,7 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			rep.addInFlight(-1)
 			if errors.Is(err, errBudgetExhausted) {
-				rep.breaker.release()
+				g.reg.observe(rep, noVerdict)
 				discardIf(last5xx)
 				g.metrics.incDeadlineExceeded()
 				writeError(w, http.StatusGatewayTimeout, "deadline budget exhausted at the gate")
@@ -211,7 +209,7 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			}
 			if r.Context().Err() != nil {
 				// Client gone: no verdict on the backend.
-				rep.breaker.release()
+				g.reg.observe(rep, noVerdict)
 				discardIf(last5xx)
 				return
 			}
@@ -219,18 +217,15 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// the RunID is a content address, so the worst case is a
 			// dedup/cache hit when the corpse comes back — never a
 			// duplicate simulation surfacing twice.
-			from, to = rep.breaker.failure(g.clock.Now())
-			g.breakerMoved(rep, from, to)
-			g.reg.MarkDown(rep)
+			g.reg.observe(rep, transportError)
 			candidates = without(candidates, rep)
 			continue
 		}
 		if resp.StatusCode >= 500 {
 			// The process is reachable but serving errors — exactly what
-			// the circuit breaker exists for. The registry still sees it
-			// healthy (healthz may be fine); the breaker routes around it.
-			from, to = rep.breaker.failure(g.clock.Now())
-			g.breakerMoved(rep, from, to)
+			// the circuit breaker exists for. The replica stays reachable
+			// (healthz may be fine); the circuit routes around it.
+			g.reg.observe(rep, submit5xx)
 			candidates = without(candidates, rep)
 			if len(candidates) > 0 {
 				rep.addInFlight(-1)
@@ -244,8 +239,7 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			rep.addInFlight(-1)
 			return
 		}
-		from, to = rep.breaker.success()
-		g.breakerMoved(rep, from, to)
+		g.reg.observe(rep, submitOK)
 		if resp.StatusCode < 300 {
 			// The backend owns the run now; a 4xx means it refused the
 			// submission, which settles the ledger as rejected.
@@ -334,7 +328,7 @@ func (g *Gate) serialRead(w http.ResponseWriter, r *http.Request, path, id strin
 				discardIf(last)
 				return
 			}
-			g.reg.MarkDown(rep)
+			g.reg.observe(rep, transportError)
 			continue
 		}
 		if resp.StatusCode == http.StatusNotFound {
@@ -394,7 +388,7 @@ func (g *Gate) hedgedRead(w http.ResponseWriter, r *http.Request, path, id strin
 			// A loser canceled by us (or a client hangup) says nothing
 			// about the backend; only organic errors mark it down.
 			if base.Err() == nil && cancels[res.idx] != nil && !errors.Is(res.err, context.Canceled) && !errors.Is(res.err, errBudgetExhausted) {
-				g.reg.MarkDown(res.rep)
+				g.reg.observe(res.rep, transportError)
 			}
 			return
 		}
@@ -484,7 +478,7 @@ func (g *Gate) handleList(w http.ResponseWriter, r *http.Request) {
 			if r.Context().Err() != nil {
 				return
 			}
-			g.reg.MarkDown(rep)
+			g.reg.observe(rep, transportError)
 			continue
 		}
 		var out []serve.RunResource
@@ -531,7 +525,7 @@ func (g *Gate) handleExperiments(w http.ResponseWriter, r *http.Request) {
 			if r.Context().Err() != nil {
 				return
 			}
-			g.reg.MarkDown(rep)
+			g.reg.observe(rep, transportError)
 			continue
 		}
 		g.relay(w, resp, rep)

@@ -89,7 +89,7 @@ func newMetrics() *metrics {
 		probeFails: reg.CounterVec("piumagate_backend_probe_failures_total",
 			"Failed health probes plus passive mark-downs, by backend.", "backend"),
 		recoveries: reg.CounterVec("piumagate_backend_recoveries_total",
-			"Down-to-healthy probe transitions, by backend.", "backend"),
+			"Down-to-healthy transitions (a passing probe or an answered submission), by backend.", "backend"),
 
 		breakerState: reg.GaugeVec("piumagate_breaker_state",
 			"Circuit state per backend (0 closed, 1 half-open, 2 open).", "backend"),

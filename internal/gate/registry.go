@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"piumagcn/internal/serve"
@@ -23,23 +24,20 @@ type Replica struct {
 	// URL is the backend's base URL.
 	URL string
 
-	idx     int
-	client  *serve.Client
-	breaker *breaker
+	idx    int
+	client *serve.Client
 
-	mu           sync.Mutex
-	healthy      bool
-	inFlight     int
-	fails        int       // consecutive failed probes / passive mark-downs
-	backoffUntil time.Time // next probe not before this instant
-	gossipQueue  int       // gossiped queue depth; -1 until first gossip
+	mu          sync.Mutex
+	live        liveness
+	inFlight    int
+	gossipQueue int // gossiped queue depth; -1 until first gossip
 }
 
-// Healthy reports the replica's current health.
+// Healthy reports whether the replica is reachable (routable).
 func (r *Replica) Healthy() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.healthy
+	return r.live.reachable
 }
 
 // InFlight is the number of gate requests currently forwarded to this
@@ -51,13 +49,26 @@ func (r *Replica) InFlight() int {
 }
 
 // BreakerState is the replica's circuit state (closed/open/half-open).
-func (r *Replica) BreakerState() string { return r.breaker.State() }
+func (r *Replica) BreakerState() string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.live.circuit
+}
 
-// Fails is the consecutive-failure count (probe or passive).
+// Fails is the consecutive-failure count (failed probes and transport
+// errors).
 func (r *Replica) Fails() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.fails
+	return r.live.probeFails
+}
+
+// admits reports whether the replica's circuit would take a submission
+// at now, without claiming anything.
+func (r *Replica) admits(now time.Time) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.live.admits(now)
 }
 
 func (r *Replica) addInFlight(d int) {
@@ -80,37 +91,39 @@ func (r *Replica) setGossipQueue(d int) {
 	r.mu.Unlock()
 }
 
-// Registry owns the replica set and its health state. Replica order is
-// fixed at construction (backend list order), and every traversal is
-// in that order, so registry behavior is deterministic.
+// Registry owns the replica set and applies every liveness change
+// through observe. Replica order is fixed at construction (backend list
+// order), and every traversal is in that order, so registry behavior is
+// deterministic.
 type Registry struct {
 	replicas []*Replica
 	clock    Clock
 	metrics  *metrics
 
-	probeTimeout  time.Duration
-	interval      time.Duration
-	backoffMax    time.Duration
-	markDownAfter int
+	probeTimeout     time.Duration
+	interval         time.Duration // base of the backoff schedule
+	markDownAfter    int
+	breakerThreshold int
 
-	mu  sync.Mutex
-	rng *rand.Rand // seeded backoff jitter
+	onBreaker func(BreakerTransition)
+	btSeq     atomic.Uint64 // circuit-transition sequence
 }
 
 // NewRegistry builds the replica set from cfg.Backends. Every replica
-// starts healthy; probing and passive mark-down correct that.
+// starts healthy with a closed circuit; probes and forwarded requests
+// correct that.
 func NewRegistry(cfg Config, m *metrics) (*Registry, error) {
 	reg := &Registry{
-		clock:         cfg.Clock,
-		metrics:       m,
-		probeTimeout:  cfg.ProbeTimeout,
-		interval:      cfg.ProbeInterval,
-		backoffMax:    cfg.ProbeBackoffMax,
-		markDownAfter: max(1, cfg.MarkDownAfter),
-		rng:           rand.New(rand.NewSource(cfg.Seed)),
+		clock:            cfg.Clock,
+		metrics:          m,
+		probeTimeout:     cfg.ProbeTimeout,
+		interval:         cfg.ProbeInterval,
+		markDownAfter:    max(1, cfg.MarkDownAfter),
+		breakerThreshold: max(1, cfg.BreakerThreshold),
+		onBreaker:        cfg.OnBreaker,
 	}
 	if reg.interval <= 0 {
-		// Probing disabled: backoff arithmetic still needs a base.
+		// Probing disabled: the backoff schedule still needs a base.
 		reg.interval = time.Second
 	}
 	seen := make(map[string]bool, len(cfg.Backends))
@@ -129,12 +142,15 @@ func NewRegistry(cfg Config, m *metrics) (*Registry, error) {
 		// (MarkDownAfter is the sanctioned damping).
 		client.SetRetries(0, 0, cfg.Seed)
 		rep := &Replica{
-			Name:        "b" + strconv.Itoa(i),
-			URL:         u,
-			idx:         i,
-			client:      client,
-			breaker:     newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Seed+int64(i)+1),
-			healthy:     true,
+			Name:   "b" + strconv.Itoa(i),
+			URL:    u,
+			idx:    i,
+			client: client,
+			live: liveness{
+				reachable: true,
+				circuit:   BreakerClosed,
+				rng:       rand.New(rand.NewSource(cfg.Seed + int64(i) + 1)),
+			},
 			gossipQueue: -1,
 		}
 		reg.replicas = append(reg.replicas, rep)
@@ -158,31 +174,6 @@ func (reg *Registry) find(name string) *Replica {
 	return nil
 }
 
-// SetHealth applies an externally observed health verdict (the gossip
-// view) to a replica, keeping the health gauge and recovery counter
-// consistent with the prober's own transitions. Promotion also clears
-// the probe backoff so the central prober (when running) re-verifies a
-// recovered replica promptly instead of waiting out a stale backoff.
-func (reg *Registry) SetHealth(r *Replica, healthy bool) {
-	r.mu.Lock()
-	was := r.healthy
-	r.healthy = healthy
-	if healthy {
-		r.fails = 0
-		r.backoffUntil = time.Time{}
-	}
-	r.mu.Unlock()
-	if was == healthy {
-		return
-	}
-	if healthy {
-		reg.metrics.setBackendHealthy(r.Name, 1)
-		reg.metrics.incRecovered(r.Name)
-	} else {
-		reg.metrics.setBackendHealthy(r.Name, 0)
-	}
-}
-
 // Healthy returns the healthy replicas in registration order.
 func (reg *Registry) Healthy() []*Replica {
 	out := make([]*Replica, 0, len(reg.replicas))
@@ -197,92 +188,34 @@ func (reg *Registry) Healthy() []*Replica {
 // HealthyCount is the number of currently healthy replicas.
 func (reg *Registry) HealthyCount() int { return len(reg.Healthy()) }
 
-// MarkDown demotes a replica after a passive transport failure and
-// schedules its next probe with the same jittered backoff a failed
-// probe earns. Forwarding calls this the moment a backend dies, so
-// routing stops considering the corpse before the next probe tick.
-func (reg *Registry) MarkDown(r *Replica) {
-	now := reg.clock.Now()
-	r.mu.Lock()
-	r.healthy = false
-	r.fails++
-	r.backoffUntil = now.Add(reg.backoff(r.fails))
-	r.mu.Unlock()
-	reg.metrics.setBackendHealthy(r.Name, 0)
-	reg.metrics.incProbeFailure(r.Name)
-}
-
 // ProbeAll probes every replica that is due (its backoff window has
-// passed), in registration order. A healthy response restores the
-// replica and resets its failure count; a failure extends the backoff
-// exponentially with seeded jitter, so a flapping backend is probed
-// ever more lazily instead of being hammered.
+// passed), in registration order. A failing replica is probed ever
+// more lazily on the backoff schedule instead of being hammered.
 func (reg *Registry) ProbeAll(ctx context.Context) {
 	now := reg.clock.Now()
 	for _, r := range reg.replicas {
 		r.mu.Lock()
-		due := !now.Before(r.backoffUntil)
+		due := !now.Before(r.live.nextProbe)
 		r.mu.Unlock()
-		if !due {
-			continue
+		if due {
+			reg.probe(ctx, r)
 		}
-		reg.probe(ctx, r)
 	}
 }
 
-// probe runs one health check against r and applies the outcome. A
-// failed probe demotes the replica only once markDownAfter consecutive
-// failures accumulate — hysteresis, so one probe lost to a chaos
-// latency spike does not flap routing (or move every consistent-hash
-// key the replica owns). Passive MarkDown is not damped: a forwarded
-// request dying on the wire is direct evidence.
+// probe runs one health check against r and observes the outcome. A
+// probe cut short by ctx (Shutdown) is no verdict: it says nothing
+// about the replica.
 func (reg *Registry) probe(ctx context.Context, r *Replica) {
 	pctx, cancel := context.WithTimeout(ctx, reg.probeTimeout)
 	err := r.client.Healthz(pctx)
 	cancel()
-	now := reg.clock.Now()
-	r.mu.Lock()
-	if err == nil {
-		wasDown := !r.healthy
-		r.healthy = true
-		r.fails = 0
-		r.backoffUntil = time.Time{}
-		r.mu.Unlock()
-		reg.metrics.setBackendHealthy(r.Name, 1)
-		if wasDown {
-			reg.metrics.incRecovered(r.Name)
-		}
-		return
+	switch {
+	case err == nil:
+		reg.observe(r, probeOK)
+	case ctx.Err() == nil:
+		reg.observe(r, probeFailed)
 	}
-	r.fails++
-	demoted := r.fails >= reg.markDownAfter
-	if demoted {
-		r.healthy = false
-	}
-	r.backoffUntil = now.Add(reg.backoff(r.fails))
-	r.mu.Unlock()
-	if demoted {
-		reg.metrics.setBackendHealthy(r.Name, 0)
-	}
-	reg.metrics.incProbeFailure(r.Name)
-}
-
-// backoff is the delay before the next probe after `fails` consecutive
-// failures: exponential from the probe interval, capped, with seeded
-// full jitter on the upper half (mirroring serve's retry backoff) so
-// probes of many flapping backends never align.
-func (reg *Registry) backoff(fails int) time.Duration {
-	d := reg.interval
-	if fails > 1 {
-		shift := min(fails-1, 6)
-		d <<= shift
-	}
-	if d > reg.backoffMax {
-		d = reg.backoffMax
-	}
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	return d/2 + time.Duration(reg.rng.Int63n(int64(d/2)+1))
 }
 
 // Status is one replica's introspection snapshot (the /v1/gate/backends
@@ -302,15 +235,14 @@ type Status struct {
 func (reg *Registry) StatusAll() []Status {
 	out := make([]Status, 0, len(reg.replicas))
 	for _, r := range reg.replicas {
-		br := r.breaker.State()
 		r.mu.Lock()
 		out = append(out, Status{
 			Name:     r.Name,
 			URL:      r.URL,
-			Healthy:  r.healthy,
+			Healthy:  r.live.reachable,
 			InFlight: r.inFlight,
-			Fails:    r.fails,
-			Breaker:  br,
+			Fails:    r.live.probeFails,
+			Breaker:  r.live.circuit,
 		})
 		r.mu.Unlock()
 	}

@@ -90,7 +90,6 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		ProbeInterval:    -1,
 		Clock:            clock,
 		BreakerThreshold: 3,
-		BreakerCooldown:  4 * time.Second,
 		OnBreaker:        func(bt BreakerTransition) { moves = append(moves, bt) },
 	})
 	h := g.Handler()
@@ -248,7 +247,6 @@ func TestBreakerUnderProbeFlapHysteresis(t *testing.T) {
 		ProbeInterval:    -1,
 		MarkDownAfter:    2,
 		BreakerThreshold: 3,
-		BreakerCooldown:  4 * time.Second,
 		Clock:            clock,
 		OnBreaker:        func(bt BreakerTransition) { moves = append(moves, bt) },
 	})
@@ -560,7 +558,6 @@ func chaosSequence(t *testing.T, urls []string) (faults, transitions, decisions 
 		// a registry mark-down) is what routes around the burning b0.
 		MarkDownAfter:    5,
 		BreakerThreshold: 2,
-		BreakerCooldown:  time.Second,
 		OnDecision:       func(d Decision) { decLog = append(decLog, d) },
 		OnBreaker:        func(bt BreakerTransition) { moveLog = append(moveLog, bt) },
 	})
@@ -671,7 +668,6 @@ func TestChaosClusterNoLostRuns(t *testing.T) {
 		ProbeTimeout:     time.Second,
 		MarkDownAfter:    2,
 		BreakerThreshold: 2,
-		BreakerCooldown:  200 * time.Millisecond,
 		HedgeDelay:       25 * time.Millisecond,
 		HTTPClient:       chaos.WrapClient(serve.DefaultHTTPClient(), inj, chaos.Targets(urls)),
 	})

@@ -75,7 +75,7 @@ wait_healthy "http://$B_ADDR" "$BPID" "replica b1"
 CHAOS='seed=7;fault=reset,target=b0,at=1s,for=800ms,rate=0.5;fault=blackhole,target=b1,at=2s,for=600ms'
 "$GATE" -addr "$G_ADDR" -backends "http://$A_ADDR,http://$B_ADDR" \
     -policy cache-affinity -probe-interval 150ms -markdown-after 2 \
-    -breaker-threshold 2 -breaker-cooldown 500ms -hedge-delay 50ms \
+    -breaker-threshold 2 -hedge-delay 50ms \
     -chaos "$CHAOS" >"$TMP/gate.log" 2>&1 &
 GPID=$!
 wait_healthy "$GBASE" "$GPID" "piumagate"
