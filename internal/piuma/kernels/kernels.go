@@ -217,7 +217,7 @@ func (r *runner) burst(n int64) int64 {
 }
 
 func (r *runner) launch() {
-	cfg := r.m.Cfg
+	cfg := &r.m.Cfg
 	e := r.a.NumEdges()
 	if e == 0 {
 		return
@@ -340,7 +340,7 @@ func (r *runner) threadBody(p *sim.Proc, core, mtp, row int, start, end int64) {
 // through the data cache (one blocking line fetch covers several edges)
 // and each edge becomes a DMA descriptor.
 func (r *runner) runDMA(p *sim.Proc, core int, mtpSrv *sim.Server, u int, start, end int64) {
-	cfg := r.m.Cfg
+	cfg := &r.m.Cfg
 	nnzPerLine := int64(cfg.CacheLineBytes) / r.nnzBytesPerEdge()
 	if nnzPerLine < 1 {
 		nnzPerLine = 1
@@ -372,7 +372,7 @@ func (r *runner) runDMA(p *sim.Proc, core int, mtpSrv *sim.Server, u int, start,
 // building the descriptor, blocks if the engine queue is full, and moves
 // on; the engine pipelines descriptors and drives the memory system.
 func (r *runner) issueDMA(p *sim.Proc, core int, mtpSrv *sim.Server, block int64, writeBack bool) {
-	cfg := r.m.Cfg
+	cfg := &r.m.Cfg
 	eng := r.m.DMAs[core]
 	// Descriptor setup on the pipeline.
 	t0 := p.Now()

@@ -48,7 +48,7 @@ const (
 
 func (th *loopThread) step(p *sim.Proc) {
 	r := th.r
-	cfg := r.m.Cfg
+	cfg := &r.m.Cfg
 	lineBytes := int64(cfg.CacheLineBytes)
 	nLines := (r.featureRowBytes() + lineBytes - 1) / lineBytes
 	for {

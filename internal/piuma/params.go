@@ -137,17 +137,17 @@ func (c Config) AggregateBandwidth() float64 {
 }
 
 // Cycle returns the duration of n pipeline cycles.
-func (c Config) Cycle(n int64) sim.Time {
+func (c *Config) Cycle(n int64) sim.Time {
 	return sim.Time(float64(n) * 1000.0 / c.ClockGHz * float64(sim.Picosecond))
 }
 
 // LineTransferTime is the slice-bus occupancy of one cache-line request.
-func (c Config) LineTransferTime() sim.Time {
+func (c *Config) LineTransferTime() sim.Time {
 	return c.TransferTime(int64(c.CacheLineBytes))
 }
 
 // TransferTime is the slice-bus occupancy of an n-byte transfer.
-func (c Config) TransferTime(n int64) sim.Time {
+func (c *Config) TransferTime(n int64) sim.Time {
 	return sim.Time(float64(n) / c.SliceBandwidth * float64(sim.Second))
 }
 

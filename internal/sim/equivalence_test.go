@@ -64,6 +64,47 @@ var equivalenceSeeds = [][]byte{
 	{0, 0, 0, 0, 0, 3, 10, 3, 3, 0, 0, 0, 0},
 	// A panic in a body comes out of Run while another process waits.
 	{0, 0, 0, 0, 1, 2, 0, 4, fzPanic, 0, 1, 2, 0, 0},
+
+	// The seeds below end in a time-scale selector (see fzScales).
+
+	// Delays past the calendar's horizon: every sleep, wake-up event and
+	// top-level event goes through the overflow heap, and processes meet
+	// there at equal times.
+	{0, 0, 0, 0, 1,
+		3, 0, 7, 1, 31, 0, 1,
+		3, 0, 3, 7, 5, 0, 2,
+		2, 9, 0, 30, 1, 5},
+	// Times off the 500 ps grid: three processes contend for a gate of
+	// two while sleeping and reserving servers in 511 ps units.
+	{0, 1, 0, 0, 2,
+		6, 4, 0, 0, 5, 10, 3, 5, 0, 0, 3, 1, 29,
+		6, 4, 0, 0, 5, 10, 3, 5, 0, 0, 3, 1, 29,
+		6, 4, 0, 0, 5, 10, 3, 5, 0, 0, 3, 1, 29,
+		1, 13, 0, 2},
+	// Inserts into one slot out of time order: at unit 1 the whole
+	// program shares slot 0, and each process schedules times earlier
+	// than ones already queued, ties included.
+	{0, 0, 0, 0, 2,
+		3, 1, 20, 0, 0, 2, 0,
+		3, 0, 3, 7, 1, 1, 4,
+		3, 7, 6, 0, 2, 11, 0,
+		2, 5, 0, 4, 0, 0},
+	// The ring wraps: at an eighth of the horizon per unit, a process
+	// sleeps seven units at a time around the ring while another waits
+	// in the overflow heap for time 31.
+	{0, 0, 0, 0, 1,
+		5, 0, 7, 0, 7, 0, 7, 0, 6, 0, 5,
+		4, 0, 1, 1, 31, 0, 2, 7, 3,
+		1, 16, 0, 4},
+	// An overflow event shares its slot with direct inserts: a wake-up at
+	// time 9 and a top-level event at time 9 start past the horizon and
+	// move into the ring when the clock reaches 7, where a sleep and a
+	// wake-up event then land at time 9 directly. They pop in schedule
+	// order.
+	{0, 0, 0, 0, 1,
+		2, 1, 9, 2, 0,
+		3, 0, 7, 7, 2, 0, 2,
+		1, 9, 0, 4},
 }
 
 // Program interpreter --------------------------------------------------
@@ -80,13 +121,27 @@ type fzProgram struct {
 	bodies       [][]fzOp
 	// events are top-level At events: kind is the time, arg the action.
 	events []fzOp
+	// scale is the length of one time unit of the program's sleeps,
+	// event times and reservations.
+	scale Time
 }
+
+// fzScales are the time units a program can select. Unit 1 keeps a
+// whole program inside one calendar slot; the others spread it over
+// the 500 ps grid, off the grid, one slot per unit, an eighth of the
+// ring's horizon per unit (so the ring wraps), and past the horizon
+// (so every delay goes through the overflow heap).
+var fzScales = [...]Time{1, 500, 511, 1 << slotShift, horizon / 8, horizon + 1}
+
+// horizon is the span of the calendar's ring.
+const horizon = nSlots << slotShift
 
 // decodeProgram reads, in order: the gate count and capacities, the
 // barrier count and sizes, the body count and each body (an op count,
 // then kind/arg byte pairs), and the top-level event count and events
-// (time/action pairs). Missing bytes read as zero, so every input is a
-// valid program.
+// (time/action pairs), then the time-scale selector (an index into
+// fzScales). Missing bytes read as zero, so every input is a valid
+// program, and one without the selector byte runs at unit 1.
 func decodeProgram(data []byte) fzProgram {
 	next := func() byte {
 		if len(data) == 0 {
@@ -113,6 +168,7 @@ func decodeProgram(data []byte) fzProgram {
 	for n := next() % 4; n > 0; n-- {
 		prog.events = append(prog.events, fzOp{next(), next()})
 	}
+	prog.scale = fzScales[int(next())%len(fzScales)]
 	return prog
 }
 
@@ -161,7 +217,7 @@ func runProgram(e fzEngine, prog fzProgram) fzResult {
 	st.waiting = make([]int, len(st.gates))
 	st.arrived = make([]int, len(st.barriers))
 	for _, ev := range prog.events {
-		e.At(Time(ev.kind%32), func() { st.event(ev.arg) })
+		e.At(st.time(ev.kind%32), func() { st.event(ev.arg) })
 	}
 	for i := range prog.bodies {
 		st.spawn(fmt.Sprintf("p%d", i), i, 0)
@@ -188,6 +244,9 @@ func runRecovered(e fzEngine) (err, panicked string) {
 	}()
 	return errString(e.Run()), ""
 }
+
+// time returns units of the program's time scale.
+func (st *fzRun) time(units byte) Time { return Time(units) * st.prog.scale }
 
 func (st *fzRun) logf(format string, args ...any) {
 	st.log = append(st.log, fmt.Sprintf("%d ", st.e.Now())+fmt.Sprintf(format, args...))
@@ -253,11 +312,11 @@ func (b *fzBody) step(p fzProc) {
 		g := int(op.arg) % len(st.gates)
 		switch op.kind % 12 {
 		case 0:
-			if p.Sleep(Time(op.arg % 8)) {
+			if p.Sleep(st.time(op.arg % 8)) {
 				return
 			}
 		case 1:
-			if p.SleepUntil(Time(op.arg % 32)) {
+			if p.SleepUntil(st.time(op.arg % 32)) {
 				return
 			}
 		case 2:
@@ -287,22 +346,22 @@ func (b *fzBody) step(p fzProc) {
 				}
 			}
 		case 7:
-			st.e.After(Time(op.arg%8), st.wakeOne)
+			st.e.After(st.time(op.arg%8), st.wakeOne)
 		case 8:
 			if b.held[g] > 0 {
 				b.held[g]--
-				st.e.After(Time(op.arg%8), st.gates[g].Release)
+				st.e.After(st.time(op.arg%8), st.gates[g].Release)
 			}
 		case 9:
 			if b.depth < 2 {
 				st.spawn(fmt.Sprintf("%s.%d", b.name, i), int(op.arg)%len(st.prog.bodies), b.depth+1)
 			}
 		case 10:
-			st.servers[op.arg%2].Reserve(p.Now(), Time(op.arg%5))
+			st.servers[op.arg%2].Reserve(p.Now(), st.time(op.arg%5))
 		case 11:
 			if b.depth < 2 {
 				child, depth := fmt.Sprintf("%s.e%d", b.name, i), b.depth+1
-				st.e.After(Time(op.arg%8), func() { st.spawn(child, int(op.arg)%len(st.prog.bodies), depth) })
+				st.e.After(st.time(op.arg%8), func() { st.spawn(child, int(op.arg)%len(st.prog.bodies), depth) })
 			}
 		}
 	}

@@ -17,6 +17,13 @@
 // the event queue, the primitives, deadlock detection and the tracer
 // calls, so one program gives the same events in either form.
 //
+// The event queue is a calendar queue. Simulated time only moves
+// forward, and nearly every event falls within a couple of microseconds
+// of now, so events wait in a ring of 512 ps time slots and the next one
+// is found by a scan of an occupancy bitmap, not a heap's compare chain;
+// the rare event past the ring's horizon waits in a heap until the ring
+// reaches it.
+//
 // Determinism: the engine orders simultaneous events by scheduling
 // sequence number, and only one process ever executes at a time (the
 // engine runs a process until it parks and runs nothing else meanwhile),
@@ -48,70 +55,13 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Nanoseconds converts a simulated duration to float nanoseconds.
 func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
 
-// event is one scheduled dispatch: a process wake-up when p is set,
-// otherwise a call to fn. Carrying the process itself keeps a sleep
-// free of a per-wake-up closure.
-type event struct {
-	t   Time
-	seq int64
-	p   *Proc
-	fn  func()
-}
-
-func (a event) before(b event) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
-}
-
-// eventHeap is a binary min-heap ordered by (t, seq). It is typed so
-// that pushing an event never boxes it into an interface.
-type eventHeap []event
-
-func (h *eventHeap) push(ev event) {
-	q := append(*h, ev)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q[i].before(q[parent]) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-	*h = q
-}
-
-func (h *eventHeap) pop() event {
-	q := *h
-	top := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	q[last] = event{}
-	q = q[:last]
-	for i := 0; ; {
-		least := i
-		if l := 2*i + 1; l < last && q[l].before(q[least]) {
-			least = l
-		}
-		if r := 2*i + 2; r < last && q[r].before(q[least]) {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		q[i], q[least] = q[least], q[i]
-		i = least
-	}
-	*h = q
-	return top
-}
-
-// Engine owns the event queue and the simulated clock.
+// Engine owns the event queue and the simulated clock. It dispatches
+// events in (t, seq) order from a calendar queue; Run drops the queue's
+// storage once it drains, and the engine can be reused afterwards, or
+// after a panic has come out of Run.
 type Engine struct {
 	now     Time
-	events  eventHeap
+	events  calendar
 	seq     int64
 	nEvents int64
 	// live holds the spawned processes that have not finished, each at
@@ -160,7 +110,7 @@ func (e *Engine) Run() error {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.events) > 0 {
+	for e.events.len() > 0 {
 		ev := e.events.pop()
 		e.now = ev.t
 		e.nEvents++
@@ -173,7 +123,9 @@ func (e *Engine) Run() error {
 			ev.fn()
 		}
 	}
-	e.events = nil
+	// Popped nodes keep their process and func until reused: drop the
+	// drained queue's storage with them.
+	e.events = calendar{}
 	if len(e.live) == 0 {
 		e.live = nil
 		return nil

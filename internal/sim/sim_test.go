@@ -351,6 +351,38 @@ func BenchmarkEngineEvents(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineQueue keeps 512 events pending, about the loop-unrolled
+// kernel's queue depth, with a delay mix like its own: a 16 ns issue, a
+// 47.5 ns local read and a ~300 ns remote read in equal shares, plus a
+// 1 % tail at 10 µs, past the calendar's horizon. One op is one event.
+func BenchmarkEngineQueue(b *testing.B) {
+	const pending = 512
+	delays := [...]Time{16 * Nanosecond, 47500, 299500}
+	b.ReportAllocs()
+	e := NewEngine()
+	scheduled, rng := 0, uint32(1)
+	var tick func()
+	tick = func() {
+		if scheduled == b.N {
+			return
+		}
+		scheduled++
+		rng = rng*1664525 + 1013904223
+		d := 10 * Microsecond
+		if r := rng >> 8; r%100 != 0 {
+			d = delays[r%3]
+		}
+		e.After(d, tick)
+	}
+	for range min(pending, b.N) {
+		tick()
+	}
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 func BenchmarkProcessSwitch(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
