@@ -6,10 +6,11 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Edge is a directed edge with an optional weight. For unweighted graphs
@@ -134,7 +135,12 @@ func FromCOO(c *COO) (*CSR, error) {
 }
 
 // sortRowsAndCoalesce sorts each row by column index and merges duplicate
-// columns by summing their weights, compacting the arrays in place.
+// columns by summing their weights, compacting the arrays in place. The
+// sort is unstable on purpose: the order pdqsort leaves equal columns in
+// is the order duplicate weights are summed in, and every CSR built so
+// far depends on it (TestFromCOOMatchesSortSliceReference pins it). A
+// stable or counting sort would change the last bits of sums of three
+// or more weighted duplicates.
 func (m *CSR) sortRowsAndCoalesce() {
 	type cv struct {
 		c int32
@@ -149,7 +155,7 @@ func (m *CSR) sortRowsAndCoalesce() {
 		for i := lo; i < hi; i++ {
 			scratch = append(scratch, cv{m.Col[i], m.Val[i]})
 		}
-		sort.Slice(scratch, func(i, j int) bool { return scratch[i].c < scratch[j].c })
+		slices.SortFunc(scratch, func(a, b cv) int { return cmp.Compare(a.c, b.c) })
 		outPtr[u] = w
 		for i := 0; i < len(scratch); {
 			j := i + 1

@@ -144,8 +144,9 @@ func (d Dataset) Scaled(f float64) Dataset {
 // GenerateOptions bounds synthetic graph generation.
 type GenerateOptions struct {
 	// MaxEdges caps the generated edge count; the dataset is scaled down
-	// (preserving average degree) if necessary. Zero means 2^21 edges,
-	// a few hundred milliseconds of generation time.
+	// (preserving average degree) if necessary. Zero means 2^21 edges:
+	// a products-shaped graph at 2^21 takes about 0.76 s to generate on
+	// a 2-vCPU x86 host, 0.35 s at 2^20 and 1.7 ms at 2^13.
 	MaxEdges int64
 	// Seed makes generation deterministic.
 	Seed int64
@@ -170,12 +171,7 @@ func Generate(d Dataset, opts GenerateOptions) (*graph.CSR, float64, error) {
 	if target.V <= 1 {
 		scale = 0
 	}
-	edgeCount := target.E
-	p := rmat.Params{
-		Scale:      scale,
-		EdgeFactor: 0, // we sample explicitly below
-		Seed:       opts.Seed,
-	}
+	p := rmat.Params{Scale: scale, Seed: opts.Seed}
 	switch d.Skew {
 	case SkewUniform:
 		p.A, p.B, p.C, p.D = 0.25, 0.25, 0.25, 0.25
@@ -186,7 +182,7 @@ func Generate(d Dataset, opts GenerateOptions) (*graph.CSR, float64, error) {
 	default:
 		return nil, 0, fmt.Errorf("ogb: unknown skew %v", d.Skew)
 	}
-	coo, err := sample(p, int(target.V), edgeCount)
+	coo, err := rmat.GenerateN(p, target.E, int(target.V))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -195,44 +191,4 @@ func Generate(d Dataset, opts GenerateOptions) (*graph.CSR, float64, error) {
 		return nil, 0, err
 	}
 	return csr, f, nil
-}
-
-// sample draws exactly ne edges from the RMAT distribution over a
-// 2^scale square, folding endpoints into [0, n).
-func sample(p rmat.Params, n int, ne int64) (*graph.COO, error) {
-	// Reuse the rmat generator by asking for one big batch: the
-	// EdgeFactor interface works on powers of two, so we generate via
-	// repeated fixed-size batches and trim.
-	if n <= 0 {
-		return nil, fmt.Errorf("ogb: non-positive vertex count %d", n)
-	}
-	edges := make([]graph.Edge, 0, ne)
-	batchSeed := p.Seed
-	vtx := 1 << p.Scale
-	for int64(len(edges)) < ne {
-		need := ne - int64(len(edges))
-		ef := int((need + int64(vtx) - 1) / int64(vtx))
-		if ef < 1 {
-			ef = 1
-		}
-		bp := p
-		bp.EdgeFactor = ef
-		bp.Seed = batchSeed
-		batchSeed++
-		coo, err := rmat.Generate(bp)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range coo.Edges {
-			if int64(len(edges)) >= ne {
-				break
-			}
-			edges = append(edges, graph.Edge{
-				Src:    e.Src % int32(n),
-				Dst:    e.Dst % int32(n),
-				Weight: 1,
-			})
-		}
-	}
-	return &graph.COO{NumVertices: n, Edges: edges}, nil
 }

@@ -12,6 +12,16 @@
 //   - Uniform (A=B=C=D=0.25): degenerate RMAT equal to an Erdős–Rényi
 //     G(n, m) sampler, the "uniform degree distribution" sweep of
 //     Figure 2.
+//
+// Sampling is one exact stream per call: a math/rand source seeded with
+// Params.Seed, one Float64 per recursion level per edge (five with
+// Noise), written straight into the returned edge list. GenerateN draws
+// a count that need not be a multiple of 2^Scale and folds endpoints
+// into a vertex count that need not be a power of two, which is how
+// internal/ogb builds its down-scaled datasets. Each level picks its
+// quadrant without branches from the cut points A, A+B and (A+B)+C; the
+// stream and every generated graph are pinned by internal/ogb's golden
+// corpus.
 package rmat
 
 import (
@@ -79,11 +89,36 @@ func Generate(p Params) (*graph.COO, error) {
 		return nil, err
 	}
 	n := 1 << p.Scale
-	ne := n * p.EdgeFactor
+	return GenerateN(p, int64(n*p.EdgeFactor), n)
+}
+
+// GenerateN samples exactly ne edges from p's quadrant distribution over
+// the 2^Scale square, seeded with p.Seed, and folds every endpoint into
+// [0, n) with % n; p.EdgeFactor is ignored. With n = 2^Scale it returns
+// the first ne edges Generate would.
+func GenerateN(p Params, ne int64, n int) (*graph.COO, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if n <= 0 {
+		return nil, fmt.Errorf("rmat: non-positive vertex count %d", n)
+	}
+	if ne < 0 {
+		return nil, fmt.Errorf("rmat: negative edge count %d", ne)
+	}
 	rng := rand.New(rand.NewSource(p.Seed))
+	fold := n < 1<<p.Scale
 	edges := make([]graph.Edge, ne)
-	for i := 0; i < ne; i++ {
-		src, dst := sampleEdge(rng, p)
+	for i := range edges {
+		var src, dst int
+		if p.Noise > 0 {
+			src, dst = sampleNoisyEdge(rng, p)
+		} else {
+			src, dst = sampleEdge(rng, &p)
+		}
+		if fold {
+			src, dst = src%n, dst%n
+		}
 		edges[i] = graph.Edge{Src: int32(src), Dst: int32(dst), Weight: 1}
 	}
 	return &graph.COO{NumVertices: n, Edges: edges}, nil
@@ -98,34 +133,54 @@ func GenerateCSR(p Params) (*graph.CSR, error) {
 	return graph.FromCOO(coo)
 }
 
-func sampleEdge(rng *rand.Rand, p Params) (src, dst int) {
-	a, b, c := p.A, p.B, p.C
-	for level := 0; level < p.Scale; level++ {
-		if p.Noise > 0 {
-			// Symmetric perturbation that keeps the sum at 1 by
-			// renormalizing.
-			na := a * (1 - p.Noise + 2*p.Noise*rng.Float64())
-			nb := b * (1 - p.Noise + 2*p.Noise*rng.Float64())
-			nc := c * (1 - p.Noise + 2*p.Noise*rng.Float64())
-			nd := (1 - a - b - c) * (1 - p.Noise + 2*p.Noise*rng.Float64())
-			tot := na + nb + nc + nd
-			a, b, c = na/tot, nb/tot, nc/tot
-		}
-		r := rng.Float64()
-		half := 1 << (p.Scale - level - 1)
-		switch {
-		case r < a:
-			// top-left: no bits set
-		case r < a+b:
-			dst += half
-		case r < a+b+c:
-			src += half
-		default:
-			src += half
-			dst += half
-		}
+// sampleEdge draws one noise-free edge, one Float64 per level.
+func sampleEdge(rng *rand.Rand, p *Params) (src, dst int) {
+	a := p.A
+	ab := a + p.B
+	abc := ab + p.C
+	for range p.Scale {
+		s, d := quadrant(rng.Float64(), a, ab, abc)
+		src, dst = src<<1|s, dst<<1|d
 	}
 	return src, dst
+}
+
+// sampleNoisyEdge draws one edge with the quadrant probabilities
+// perturbed at every level: four Float64 draws for the noise, then one
+// for the quadrant.
+func sampleNoisyEdge(rng *rand.Rand, p Params) (src, dst int) {
+	a, b, c := p.A, p.B, p.C
+	for range p.Scale {
+		// Symmetric perturbation that keeps the sum at 1 by
+		// renormalizing.
+		na := a * (1 - p.Noise + 2*p.Noise*rng.Float64())
+		nb := b * (1 - p.Noise + 2*p.Noise*rng.Float64())
+		nc := c * (1 - p.Noise + 2*p.Noise*rng.Float64())
+		nd := (1 - a - b - c) * (1 - p.Noise + 2*p.Noise*rng.Float64())
+		tot := na + nb + nc + nd
+		a, b, c = na/tot, nb/tot, nc/tot
+		ab := a + b
+		s, d := quadrant(rng.Float64(), a, ab, ab+c)
+		src, dst = src<<1|s, dst<<1|d
+	}
+	return src, dst
+}
+
+// quadrant returns the src and dst bits of the quadrant r falls in,
+// without branches: r < a is top-left, r < ab top-right, r < abc
+// bottom-left, else bottom-right. Callers pass ab = a+b and abc =
+// (a+b)+c, summed left to right: another order can round a cut point
+// differently and move an edge the golden corpus pins.
+func quadrant(r, a, ab, abc float64) (s, d int) {
+	s = b2i(r >= ab)
+	return s, b2i(r >= a) ^ s ^ b2i(r >= abc)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // GenerateByDensity produces a uniform graph with the given vertex count

@@ -44,6 +44,47 @@ func TestGenerateSizes(t *testing.T) {
 	}
 }
 
+// GenerateN draws Generate's stream: the first ne edges, folded into
+// [0, n) when n is below 2^Scale, for noise-free and noisy parameters.
+func TestGenerateNIsFoldedPrefix(t *testing.T) {
+	noisy := PowerLaw(9, 4, 5)
+	noisy.Noise = 0.2
+	for _, p := range []Params{PowerLaw(9, 4, 5), noisy} {
+		full, err := Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			ne int64
+			n  int
+		}{{1000, 512}, {1000, 300}, {0, 300}, {2048, 257}} {
+			got, err := GenerateN(p, c.ne, c.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.NumVertices != c.n || int64(len(got.Edges)) != c.ne {
+				t.Fatalf("GenerateN(%d, %d): %d vertices, %d edges", c.ne, c.n, got.NumVertices, len(got.Edges))
+			}
+			for i, e := range got.Edges {
+				w := full.Edges[i]
+				want := graph.Edge{Src: w.Src % int32(c.n), Dst: w.Dst % int32(c.n), Weight: 1}
+				if e != want {
+					t.Fatalf("GenerateN(%d, %d) edge %d = %v, want %v", c.ne, c.n, i, e, want)
+				}
+			}
+		}
+	}
+	if _, err := GenerateN(PowerLaw(4, 1, 1), 10, 0); err == nil {
+		t.Fatal("GenerateN accepted zero vertices")
+	}
+	if _, err := GenerateN(PowerLaw(4, 1, 1), -1, 16); err == nil {
+		t.Fatal("GenerateN accepted a negative edge count")
+	}
+	if _, err := GenerateN(Params{Scale: -1}, 10, 16); err == nil {
+		t.Fatal("GenerateN accepted invalid parameters")
+	}
+}
+
 func TestPowerLawIsSkewed(t *testing.T) {
 	pl, err := GenerateCSR(PowerLaw(12, 16, 99))
 	if err != nil {

@@ -7,15 +7,16 @@
 #
 # Usage: scripts/bench_trend.sh [packages...]
 #        (default: the load-generator, store, gossip-codec,
-#        gate-submit, serve hit/miss and lint hot paths, plus the
-#        simulation engine and the simulated kernels)
+#        gate-submit, serve hit/miss and lint hot paths, the
+#        simulation engine and the simulated kernels, plus graph
+#        generation: rmat sampling, the CSR build and ogb.Generate)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 OUT="BENCH_TREND.json"
 PKGS=("$@")
 if [ ${#PKGS[@]} -eq 0 ]; then
-    PKGS=(./internal/workload/ ./internal/store/ ./internal/gossip/ ./internal/gate/ ./internal/serve/ ./internal/lint/ ./internal/sim/ ./internal/piuma/kernels/)
+    PKGS=(./internal/workload/ ./internal/store/ ./internal/gossip/ ./internal/gate/ ./internal/serve/ ./internal/lint/ ./internal/sim/ ./internal/piuma/kernels/ ./internal/rmat/ ./internal/graph/ ./internal/ogb/)
 fi
 
 # A record taken from an uncommitted tree is marked "-dirty".
