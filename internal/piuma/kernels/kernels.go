@@ -190,6 +190,8 @@ type runner struct {
 	// dmaRelease[c] is core c's DMA queue Release, bound once so that
 	// scheduling a descriptor's slot release allocates nothing.
 	dmaRelease []func()
+	// loop is the loop-unrolled kernel's per-access constants.
+	loop loopCosts
 }
 
 // rowHome picks the home slice for one row-granular access.
@@ -242,6 +244,7 @@ func (r *runner) launch() {
 	var loops []loopThread
 	if r.kind == KindLoopUnrolled {
 		loops = make([]loopThread, threads)
+		r.loop = r.loopCosts()
 	}
 	for t := 0; t < threads; t++ {
 		var start, end int64
@@ -265,7 +268,7 @@ func (r *runner) launch() {
 		if r.kind == KindLoopUnrolled {
 			th := &loops[t]
 			*th = loopThread{r: r, done: done, core: core, mtp: r.m.MTPOf(core, mtp), e: start, end: end}
-			r.m.Eng.SpawnStep(name, th.step)
+			r.m.Eng.StartStep(&th.Proc, name, th)
 			continue
 		}
 		r.m.Eng.Spawn(name, func(p *sim.Proc) {

@@ -6,6 +6,7 @@ import (
 
 	"piumagcn/internal/amodel"
 	"piumagcn/internal/graph"
+	"piumagcn/internal/ogb"
 	"piumagcn/internal/piuma"
 	"piumagcn/internal/rmat"
 	"piumagcn/internal/sim"
@@ -324,6 +325,33 @@ func BenchmarkLoopUnrolledKernel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLoopKernelProducts is one call of the loop-unrolled kernel
+// at the costliest Figure 5 point (8 cores, K=256) on the products-shaped
+// graph at the 2^13-edge cap, seed 7: chains of dependent stall-on-use
+// round trips, so nearly all its time is event dispatch and step
+// activations. It reports the engine's cost per event.
+func BenchmarkLoopKernelProducts(b *testing.B) {
+	products, err := ogb.ByName("products")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, _, err := ogb.Generate(products, ogb.GenerateOptions{MaxEdges: 1 << 13, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := piuma.DefaultConfig()
+	cfg.Cores = 8
+	var events int64
+	for b.Loop() {
+		r, err := Run(KindLoopUnrolled, cfg, g, 256)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += r.Events
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
 // Section II-C trade-off: vertex-parallel division avoids the binary

@@ -5,7 +5,9 @@ import "piumagcn/internal/sim"
 // loopThread is one thread of the loop-unrolled kernel, run as a step
 // process. A PIUMA thread is a few registers of in-order state, not a
 // stack: the fields below are those registers, and pc is where the
-// thread resumes when its outstanding access completes.
+// thread resumes when its outstanding access completes. The thread
+// embeds its process, wake-up event included, so an activation touches
+// the thread, the shared runner and the machine, and nothing else.
 //
 // After the startup search, each edge is a column-index read and a
 // value read (stall-on-use round trips), then ceil(K·B_F/line) feature
@@ -13,6 +15,7 @@ import "piumagcn/internal/sim"
 // before the next fetch issues. A finished row is written back through
 // the remote atomic offload, fire-and-forget for the thread.
 type loopThread struct {
+	sim.Proc
 	r    *runner
 	done *sim.Barrier
 	core int
@@ -46,11 +49,44 @@ const (
 	loopReleased                  // released from the barrier
 )
 
-func (th *loopThread) step(p *sim.Proc) {
-	r := th.r
+// loopCosts are the loop-unrolled kernel's per-access constants. They
+// depend only on the machine and K, so launch computes them once per run.
+type loopCosts struct {
+	lineBytes int64
+	// rowLines is the number of feature lines per row.
+	rowLines int64
+	// colBytes and valueBytes are the sizes of one edge's column index
+	// and value, which place them in the CSR streams.
+	colBytes, valueBytes int64
+	// The DRAM bursts of a startup probe, a column index, a value and a
+	// feature row write-back.
+	probeBurst, colBurst, valueBurst, rowBurst int64
+	// macIssue is the pipeline time of one line's unrolled loads and
+	// MACs, flushIssue that of a row write-back.
+	macIssue, flushIssue sim.Time
+}
+
+func (r *runner) loopCosts() loopCosts {
 	cfg := &r.m.Cfg
 	lineBytes := int64(cfg.CacheLineBytes)
-	nLines := (r.featureRowBytes() + lineBytes - 1) / lineBytes
+	unroll := cfg.CacheLineBytes / cfg.FeatureBytes
+	return loopCosts{
+		lineBytes:  lineBytes,
+		rowLines:   (r.featureRowBytes() + lineBytes - 1) / lineBytes,
+		colBytes:   int64(cfg.ColIndexBytes),
+		valueBytes: int64(cfg.ValueBytes),
+		probeBurst: r.burst(8),
+		colBurst:   r.burst(int64(cfg.ColIndexBytes)),
+		valueBurst: r.burst(int64(cfg.ValueBytes)),
+		rowBurst:   r.burst(r.featureRowBytes()),
+		macIssue:   cfg.Cycle(int64(2 * unroll)),
+		flushIssue: cfg.Cycle(4),
+	}
+}
+
+func (th *loopThread) Step(p *sim.Proc) {
+	r := th.r
+	c := &r.loop
 	for {
 		switch th.pc {
 		case loopStartup:
@@ -65,7 +101,7 @@ func (th *loopThread) step(p *sim.Proc) {
 			}
 			block := r.probeBlock(th.e, th.i)
 			th.i++
-			if r.blockingRead(p, th.core, block, r.burst(8)) {
+			if r.blockingRead(p, th.core, block, c.probeBurst) {
 				return
 			}
 		case loopEdge:
@@ -87,7 +123,7 @@ func (th *loopThread) step(p *sim.Proc) {
 			th.v = int64(r.a.Col[th.e])
 			th.t0 = p.Now()
 			th.pc = loopValue
-			if r.blockingRead(p, th.core, th.e*int64(cfg.ColIndexBytes)/lineBytes, r.burst(int64(cfg.ColIndexBytes))) {
+			if r.blockingRead(p, th.core, th.e*c.colBytes/c.lineBytes, c.colBurst) {
 				return
 			}
 		case loopRowFlushed:
@@ -96,7 +132,7 @@ func (th *loopThread) step(p *sim.Proc) {
 			th.pc = loopEdge
 		case loopValue:
 			th.pc = loopNNZ
-			if r.blockingRead(p, th.core, th.e*int64(cfg.ValueBytes)/lineBytes, r.burst(int64(cfg.ValueBytes))) {
+			if r.blockingRead(p, th.core, th.e*c.valueBytes/c.lineBytes, c.valueBurst) {
 				return
 			}
 		case loopNNZ:
@@ -105,21 +141,20 @@ func (th *loopThread) step(p *sim.Proc) {
 			th.i = 0
 			th.pc = loopLine
 		case loopLine:
-			if th.i == nLines {
+			if th.i == c.rowLines {
 				th.e++
 				th.pc = loopEdge
 				continue
 			}
 			th.t0 = p.Now()
 			th.pc = loopMAC
-			if p.SleepUntil(r.m.ReadBlockingAt(p.Now(), th.core, r.rowHome(th.v), lineBytes)) {
+			if p.SleepUntil(r.m.ReadBlockingAt(p.Now(), th.core, r.rowHome(th.v), c.lineBytes)) {
 				return
 			}
 		case loopMAC:
 			r.bd.FeatureWait += p.Now() - th.t0
 			th.t0 = p.Now()
-			unroll := cfg.CacheLineBytes / cfg.FeatureBytes
-			_, issueEnd := th.mtp.Reserve(p.Now(), cfg.Cycle(int64(2*unroll)))
+			_, issueEnd := th.mtp.Reserve(p.Now(), c.macIssue)
 			th.pc = loopRetired
 			if p.SleepUntil(issueEnd) {
 				return
@@ -147,7 +182,7 @@ func (th *loopThread) step(p *sim.Proc) {
 func (th *loopThread) flush(p *sim.Proc) bool {
 	r := th.r
 	th.t0 = p.Now()
-	_, issueEnd := th.mtp.Reserve(p.Now(), r.m.Cfg.Cycle(4))
-	r.m.WriteAsyncAt(p.Now(), r.rowHome(int64(th.u)), r.burst(r.featureRowBytes()))
+	_, issueEnd := th.mtp.Reserve(p.Now(), r.loop.flushIssue)
+	r.m.WriteAsyncAt(p.Now(), r.rowHome(int64(th.u)), r.loop.rowBurst)
 	return p.SleepUntil(issueEnd)
 }

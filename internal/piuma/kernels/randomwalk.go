@@ -67,7 +67,7 @@ func RunRandomWalkTraced(cfg piuma.Config, a *graph.CSR, steps int, tr sim.Trace
 		w := &ws[t]
 		rng := rand.New(rand.NewSource(int64(t)*0x9E37 + 1))
 		*w = walker{run: run, core: t % cfg.Cores, rng: rng, v: rng.Intn(a.NumVertices)}
-		m.Eng.SpawnStep(fmt.Sprintf("walker%d", t), w.step)
+		m.Eng.StartStep(&w.Proc, fmt.Sprintf("walker%d", t), w)
 	}
 	if err := m.Eng.Run(); err != nil {
 		return WalkResult{}, fmt.Errorf("kernels: random walk simulation failed: %w", err)
@@ -91,9 +91,10 @@ type walkRun struct {
 	finish       sim.Time
 }
 
-// walker is one walker thread, run as a step process: pc is where it
-// resumes when its outstanding read completes.
+// walker is one walker thread, run as a step process on its embedded
+// Proc: pc is where it resumes when its outstanding read completes.
 type walker struct {
+	sim.Proc
 	run  *walkRun
 	core int
 	rng  *rand.Rand
@@ -113,7 +114,7 @@ const (
 	walkArrived               // neighbour arrived: the step is done
 )
 
-func (w *walker) step(p *sim.Proc) {
+func (w *walker) Step(p *sim.Proc) {
 	run, a := w.run, w.run.a
 	lineBytes := int64(run.m.Cfg.CacheLineBytes)
 	for {

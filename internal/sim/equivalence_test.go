@@ -533,7 +533,7 @@ func (e coroEngine) newBarrier(name string, n int) fzBarrier {
 type stepEngine struct{ coroEngine }
 
 func (e stepEngine) Spawn(name string, body func(fzProc)) {
-	e.Engine.SpawnStep(name, func(p *Proc) { body(p) })
+	e.Engine.StartStep(new(Proc), name, StepFunc(func(p *Proc) { body(p) }))
 }
 
 type coroGate struct{ *Gate }

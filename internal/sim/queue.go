@@ -3,16 +3,21 @@ package sim
 import "math/bits"
 
 // event is one scheduled dispatch: a process wake-up when p is set,
-// otherwise a call to fn. Carrying the process itself keeps a sleep
-// free of a per-wake-up closure.
+// otherwise a call to fn. A process has at most one pending wake-up, so
+// its event lives inside its Proc and is linked into the queue in
+// place; function events come from the calendar's free list. next links
+// an event into a slot list or the free list.
 type event struct {
-	t   Time
-	seq int64
-	p   *Proc
-	fn  func()
+	t    Time
+	seq  int64
+	next *event
+	p    *Proc
+	fn   func()
+	// queued is set while a process's wake-up is in the queue.
+	queued bool
 }
 
-func (a event) before(b event) bool {
+func (a *event) before(b *event) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
@@ -43,8 +48,9 @@ const (
 // slot advances far enough to bring their slot within it; by then that
 // slot is empty, and every later push to it carries a larger seq.
 //
-// The lists are linked through one node arena with a free list, so a
-// queue that fills and drains reuses its nodes instead of allocating.
+// The lists link the events themselves, so a push or pop copies no
+// event: a process's wake-up is the event in its Proc, and a function
+// event is taken from the free list and returned to it when it fires.
 type calendar struct {
 	// cur is the current slot: the slot of the last popped event, or
 	// an earlier one.
@@ -57,27 +63,46 @@ type calendar struct {
 	// empties, and pushes to the current slot leave the bitmap alone.
 	occupied [nSlots / 64]uint64
 	summary  uint64
-	// nodes[0] is unused, so that node index 0 ends a list.
-	nodes []node
-	free  int32
+	// free holds the function events not in the queue.
+	free *event
 	// inRing counts the events in the ring.
 	inRing   int
 	overflow eventHeap
 }
 
-// slotList is one slot's events in (t, seq) order, as node indices.
-// tail is stale while head is 0.
-type slotList struct{ head, tail int32 }
-
-type node struct {
-	ev event
-	// next is the following node in a slot list or the free list.
-	next int32
-}
+// slotList is one slot's events in (t, seq) order. tail is stale while
+// head is nil.
+type slotList struct{ head, tail *event }
 
 func (q *calendar) len() int { return q.inRing + len(q.overflow) }
 
-func (q *calendar) push(ev event) {
+// funcBlock is how many function events newFunc allocates at once
+// when the free list is empty.
+const funcBlock = 64
+
+// newFunc returns a function event for fn from the free list.
+func (q *calendar) newFunc(fn func()) *event {
+	if q.free == nil {
+		block := make([]event, funcBlock)
+		for i := range block[1:] {
+			block[i].next = &block[i+1]
+		}
+		q.free = &block[0]
+	}
+	ev := q.free
+	q.free = ev.next
+	ev.fn = fn
+	return ev
+}
+
+// freeFunc returns a fired function event to the free list.
+func (q *calendar) freeFunc(ev *event) {
+	ev.fn = nil
+	ev.next = q.free
+	q.free = ev
+}
+
+func (q *calendar) push(ev *event) {
 	if s := int64(ev.t >> slotShift); s-q.cur < nSlots {
 		q.insert(s, ev)
 	} else {
@@ -88,61 +113,43 @@ func (q *calendar) push(ev event) {
 // insert links ev into slot s's list at its (t, seq) place. Events
 // reach a slot in seq order (see calendar), so that place is the tail
 // unless ev's time is earlier than the last one's.
-func (q *calendar) insert(s int64, ev event) {
-	if q.free == 0 {
-		q.grow()
+func (q *calendar) insert(s int64, ev *event) {
+	if q.ring == nil {
+		q.ring = new([nSlots]slotList)
 	}
-	n := q.free
-	nd := &q.nodes[n]
-	q.free = nd.next
-	nd.ev, nd.next = ev, 0
+	ev.next = nil
 	i := s & slotMask
 	l := &q.ring[i]
 	switch {
-	case l.head == 0:
-		l.head, l.tail = n, n
+	case l.head == nil:
+		l.head, l.tail = ev, ev
 		if s != q.cur {
 			q.occupied[i>>6] |= 1 << (i & 63)
 			q.summary |= 1 << (i >> 6)
 		}
-	case !ev.before(q.nodes[l.tail].ev):
-		q.nodes[l.tail].next = n
-		l.tail = n
+	case !ev.before(l.tail):
+		l.tail.next = ev
+		l.tail = ev
 	default:
-		prev, at := int32(0), l.head
-		for !ev.before(q.nodes[at].ev) {
-			prev, at = at, q.nodes[at].next
+		at := &l.head
+		for !ev.before(*at) {
+			at = &(*at).next
 		}
-		q.nodes[n].next = at
-		if prev == 0 {
-			l.head = n
-		} else {
-			q.nodes[prev].next = n
-		}
+		ev.next = *at
+		*at = ev
 	}
 	q.inRing++
 }
 
-// grow adds a node to the free list, making the ring and the arena on
-// first use.
-func (q *calendar) grow() {
-	if q.ring == nil {
-		q.ring = new([nSlots]slotList)
-		q.nodes = make([]node, 1, 64)
-	}
-	q.free = int32(len(q.nodes))
-	q.nodes = append(q.nodes, node{})
-}
-
 // pop removes and returns the earliest event. The queue must not be
 // empty.
-func (q *calendar) pop() event {
+func (q *calendar) pop() *event {
 	if q.inRing == 0 {
 		// Everything is beyond the horizon: jump to the earliest event.
 		q.advance(int64(q.overflow[0].t >> slotShift))
 	}
 	i := q.cur & slotMask
-	if q.ring[i].head == 0 {
+	if q.ring[i].head == nil {
 		i = q.nextOccupied(i)
 		q.advance(q.cur + ((i - q.cur) & slotMask))
 		if q.occupied[i>>6] &^= 1 << (i & 63); q.occupied[i>>6] == 0 {
@@ -150,12 +157,8 @@ func (q *calendar) pop() event {
 		}
 	}
 	l := &q.ring[i]
-	n := l.head
-	nd := &q.nodes[n]
-	ev := nd.ev
-	l.head = nd.next
-	nd.next = q.free
-	q.free = n
+	ev := l.head
+	l.head = ev.next
 	q.inRing--
 	return ev
 }
@@ -187,11 +190,10 @@ func (q *calendar) nextOccupied(i int64) int64 {
 }
 
 // eventHeap is a binary min-heap ordered by (t, seq), the calendar's
-// overflow. It is typed so that pushing an event never boxes it into an
-// interface.
-type eventHeap []event
+// overflow.
+type eventHeap []*event
 
-func (h *eventHeap) push(ev event) {
+func (h *eventHeap) push(ev *event) {
 	q := append(*h, ev)
 	i := len(q) - 1
 	for i > 0 {
@@ -205,12 +207,12 @@ func (h *eventHeap) push(ev event) {
 	*h = q
 }
 
-func (h *eventHeap) pop() event {
+func (h *eventHeap) pop() *event {
 	q := *h
 	top := q[0]
 	last := len(q) - 1
 	q[0] = q[last]
-	q[last] = event{}
+	q[last] = nil
 	q = q[:last]
 	for i := 0; ; {
 		least := i

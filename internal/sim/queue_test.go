@@ -32,7 +32,11 @@ func queueDelay(r *rand.Rand) Time {
 // container/heap ordered by (t, seq). Every pushed time is at or after
 // the last popped one, as in the engine. The push share cycles so the
 // queue grows, shrinks and empties, and an empty ring jumps straight to
-// the overflow heap.
+// the overflow heap. Pushes mix the wake-up events of a few processes,
+// each pushed again only after it is popped, with function events from
+// the free list, which go back to it when popped; the free list ends
+// up holding as many events as were ever queued at once, rounded up to
+// whole blocks.
 func TestCalendarMatchesHeap(t *testing.T) {
 	for seed := range uint64(16) {
 		r := rand.New(rand.NewPCG(seed, 1))
@@ -40,6 +44,13 @@ func TestCalendarMatchesHeap(t *testing.T) {
 		var ref refHeap
 		var now Time
 		var seq int64
+		procs := make([]Proc, 8)
+		idle := make([]*event, len(procs))
+		for i := range procs {
+			procs[i].wakeup.p = &procs[i]
+			idle[i] = &procs[i].wakeup
+		}
+		funcs, peak := 0, 0
 		pop := func(step int) {
 			got, want := q.pop(), heap.Pop(&ref).(refEvent)
 			if got.t != want.t || got.seq != want.seq {
@@ -47,6 +58,12 @@ func TestCalendarMatchesHeap(t *testing.T) {
 					seed, step, got.t, got.seq, want.t, want.seq)
 			}
 			now = got.t
+			if got.p != nil {
+				idle = append(idle, got)
+			} else {
+				q.freeFunc(got)
+				funcs--
+			}
 		}
 		for step := range 20000 {
 			if q.len() != ref.Len() {
@@ -57,8 +74,18 @@ func TestCalendarMatchesHeap(t *testing.T) {
 				pop(step)
 				continue
 			}
+			var ev *event
+			if k := r.IntN(2 * len(procs)); k < len(idle) {
+				ev = idle[k]
+				idle[k] = idle[len(idle)-1]
+				idle = idle[:len(idle)-1]
+			} else {
+				ev = q.newFunc(nil)
+				funcs++
+				peak = max(peak, funcs)
+			}
 			seq++
-			ev := event{t: now + queueDelay(r), seq: seq}
+			ev.t, ev.seq = now+queueDelay(r), seq
 			q.push(ev)
 			heap.Push(&ref, refEvent{t: ev.t, seq: ev.seq})
 		}
@@ -67,6 +94,14 @@ func TestCalendarMatchesHeap(t *testing.T) {
 		}
 		if q.len() != 0 {
 			t.Fatalf("seed %d: len %d after the heap drained", seed, q.len())
+		}
+		free := 0
+		for ev := q.free; ev != nil; ev = ev.next {
+			free++
+		}
+		if want := (peak + funcBlock - 1) / funcBlock * funcBlock; free != want {
+			t.Fatalf("seed %d: %d function events on the free list, want %d: %d were ever queued at once",
+				seed, free, want, peak)
 		}
 	}
 }

@@ -8,21 +8,25 @@
 //
 // A process takes one of two forms. A coroutine process (Spawn) is a
 // body that blocks inside the primitives and keeps its state on its own
-// stack; the DMA kernels use it. A step process (SpawnStep) is a step
-// function that the engine calls on every activation and that returns
-// when it parks, keeping its state in its own fields — a PIUMA hardware
-// thread is a few registers of in-order state, not a stack. The
-// loop-unrolled kernel and the random walk use it; switching to one is a
-// plain function call instead of a coroutine switch. Both forms share
-// the event queue, the primitives, deadlock detection and the tracer
-// calls, so one program gives the same events in either form.
+// stack; the DMA kernels use it. A step process (StartStep) is a
+// Stepper whose Step method the engine calls on every activation and
+// that returns when it parks, keeping its state in its own fields — a
+// PIUMA hardware thread is a few registers of in-order state, not a
+// stack. The loop-unrolled kernel and the random walk use it, and their
+// threads embed their Proc, so an activation touches one object, the
+// thread, and switching to it is a method call instead of a coroutine
+// switch. Both forms share the event queue, the primitives, deadlock
+// detection and the tracer calls, so one program gives the same events
+// in either form.
 //
 // The event queue is a calendar queue. Simulated time only moves
 // forward, and nearly every event falls within a couple of microseconds
 // of now, so events wait in a ring of 512 ps time slots and the next one
 // is found by a scan of an occupancy bitmap, not a heap's compare chain;
 // the rare event past the ring's horizon waits in a heap until the ring
-// reaches it.
+// reaches it. A process has at most one pending wake-up, and that event
+// lives in its Proc: the ring links it in place, so a sleep neither
+// allocates nor copies an event.
 //
 // Determinism: the engine orders simultaneous events by scheduling
 // sequence number, and only one process ever executes at a time (the
@@ -81,7 +85,13 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Events() int64 { return e.nEvents }
 
 // At schedules fn to run at absolute time t (panics if t is in the past).
-func (e *Engine) At(t Time, fn func()) { e.schedule(t, nil, fn) }
+func (e *Engine) At(t Time, fn func()) {
+	e.checkTime(t)
+	ev := e.events.newFunc(fn)
+	e.seq++
+	ev.t, ev.seq = t, e.seq
+	e.events.push(ev)
+}
 
 // After schedules fn to run delay from now.
 func (e *Engine) After(delay Time, fn func()) {
@@ -91,13 +101,24 @@ func (e *Engine) After(delay Time, fn func()) {
 	e.At(e.now+delay, fn)
 }
 
-// schedule queues the wake-up of p, or the call of fn, at time t.
-func (e *Engine) schedule(t Time, p *Proc, fn func()) {
+// schedule queues the wake-up of p at time t. It panics, before
+// touching the queue, if p's wake-up is already queued: linking the
+// event a second time would corrupt its slot list.
+func (e *Engine) schedule(t Time, p *Proc) {
+	e.checkTime(t)
+	ev := &p.wakeup
+	if ev.queued {
+		panic(fmt.Sprintf("sim: process %q parked while its wake-up is already queued", p.Name))
+	}
+	e.seq++
+	ev.t, ev.seq, ev.queued = t, e.seq, true
+	e.events.push(ev)
+}
+
+func (e *Engine) checkTime(t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
-	e.seq++
-	e.events.push(event{t: t, seq: e.seq, p: p, fn: fn})
 }
 
 // Run processes events until the queue is empty. It returns an error if
@@ -117,13 +138,16 @@ func (e *Engine) Run() error {
 		if e.tracer != nil {
 			e.tracer.Event(e.now)
 		}
-		if ev.p != nil {
-			e.activate(ev.p)
+		if p := ev.p; p != nil {
+			ev.queued = false
+			e.activate(p)
 		} else {
-			ev.fn()
+			fn := ev.fn
+			e.events.freeFunc(ev)
+			fn()
 		}
 	}
-	// Popped nodes keep their process and func until reused: drop the
+	// The ring's stale tails still point at popped events: drop the
 	// drained queue's storage with them.
 	e.events = calendar{}
 	if len(e.live) == 0 {
@@ -152,9 +176,15 @@ func (e *Engine) Run() error {
 // A panic inside a process body or step unwinds it and comes out of
 // Engine.Run on the caller's goroutine, where it can be recovered. A
 // recover deferred inside the body itself still catches it first.
+//
+// Every process owns its wake-up event, so it can have at most one
+// pending wake-up; a step process that parks twice in one activation
+// panics.
 type Proc struct {
 	Name string
 	eng  *Engine
+	// wakeup is the process's event in the queue, while queued is set.
+	wakeup event
 	// A coroutine process (iter.Pull) runs next until it yields (parks)
 	// or returns; yield, called from inside the body, hands control back
 	// to the engine.
@@ -162,7 +192,7 @@ type Proc struct {
 	yield func(struct{}) bool
 	// A step process runs step once per activation; parks counts the
 	// times the current activation parked.
-	step  func(*Proc)
+	step  Stepper
 	parks int
 	// wake resumes the process; WaitFor makes it on first use and hands
 	// it out.
@@ -185,24 +215,29 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// SpawnStep creates a step process and schedules its first activation
-// at the current time. The engine calls step on every activation; step
-// keeps its progress outside the call and returns when a primitive
-// reports that the process parked, or returns without parking to finish.
-func (e *Engine) SpawnStep(name string, step func(*Proc)) *Proc {
-	p := &Proc{Name: name, eng: e, step: step}
+// Stepper is the state of a step process. The engine calls Step on
+// every activation; Step keeps its progress in the Stepper and returns
+// when a primitive reports that the process parked, or returns without
+// parking to finish.
+type Stepper interface{ Step(*Proc) }
+
+// StartStep makes p a step process running s and schedules its first
+// activation at the current time. The caller owns p's storage, usually
+// a Proc embedded in s itself; p must not be in use by the engine.
+func (e *Engine) StartStep(p *Proc, name string, s Stepper) {
+	*p = Proc{Name: name, eng: e, step: s}
 	e.start(p)
-	return p
 }
 
 // start registers a new process and schedules its first activation.
 func (e *Engine) start(p *Proc) {
+	p.wakeup.p = p
 	p.live = len(e.live)
 	e.live = append(e.live, p)
 	if e.tracer != nil {
 		e.tracer.Process(e.now, p.Name, "spawn")
 	}
-	e.schedule(e.now, p, nil)
+	e.schedule(e.now, p)
 }
 
 // activate runs p until it parks or finishes. Must be called from engine
@@ -214,9 +249,9 @@ func (e *Engine) activate(p *Proc) {
 	var parked bool
 	if p.step != nil {
 		p.parks = 0
-		p.step(p)
+		p.step.Step(p)
 		if p.parks > 1 {
-			// A second wake-up is now scheduled for the same process.
+			// The process is registered to be woken twice.
 			panic(fmt.Sprintf("sim: step process %q parked %d times in one activation", p.Name, p.parks))
 		}
 		parked = p.parks == 1
@@ -272,7 +307,7 @@ func (p *Proc) SleepUntil(t Time) bool {
 	if t <= p.eng.now {
 		return false
 	}
-	p.eng.schedule(t, p, nil)
+	p.eng.schedule(t, p)
 	return p.park()
 }
 

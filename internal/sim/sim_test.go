@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -403,14 +404,14 @@ func BenchmarkStepSwitch(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
 	n := 0
-	e.SpawnStep("p", func(p *Proc) {
+	e.StartStep(new(Proc), "p", StepFunc(func(p *Proc) {
 		for n < b.N {
 			n++
 			if p.Sleep(1) {
 				return
 			}
 		}
-	})
+	}))
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
 	}
@@ -509,14 +510,14 @@ func TestStepSleepAllocatesNothing(t *testing.T) {
 		return testing.AllocsPerRun(10, func() {
 			e := NewEngine()
 			n := 0
-			e.SpawnStep("sleeper", func(p *Proc) {
+			e.StartStep(new(Proc), "sleeper", StepFunc(func(p *Proc) {
 				for n < sleeps {
 					n++
 					if p.Sleep(1) {
 						return
 					}
 				}
-			})
+			}))
 			if err := e.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -527,20 +528,54 @@ func TestStepSleepAllocatesNothing(t *testing.T) {
 	}
 }
 
+// StepFunc adapts a closure to Stepper, for tests that write a step
+// process inline.
+type StepFunc func(*Proc)
+
+func (f StepFunc) Step(p *Proc) { f(p) }
+
 // A step that parks must return: parking again in the same activation
-// schedules a second wake-up, so Run panics once the step returns.
+// would queue the process's one wake-up event a second time, so
+// schedule panics before it touches the queue. The engine stays
+// usable: the first wake-up is still queued, once, and a fresh program
+// run on the same engine afterwards matches the reference engine.
 func TestStepParkTwicePanics(t *testing.T) {
-	e := NewEngine()
-	e.SpawnStep("twice", func(p *Proc) {
-		p.Sleep(1)
-		p.Sleep(2)
-	})
-	got := func() (v any) {
-		defer func() { v = recover() }()
-		_ = e.Run()
-		return nil
-	}()
-	if msg, _ := got.(string); !strings.Contains(msg, `"twice" parked 2 times`) {
-		t.Fatalf("recovered %v from Run, want the parked-twice panic", got)
+	for i, seed := range equivalenceSeeds {
+		e := NewEngine()
+		activations := 0
+		var twice Proc
+		e.StartStep(&twice, "twice", StepFunc(func(p *Proc) {
+			activations++
+			if activations == 1 {
+				p.Sleep(1)
+				p.Sleep(2)
+			}
+		}))
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			_ = e.Run()
+			return nil
+		}()
+		if msg, _ := got.(string); !strings.Contains(msg, `"twice" parked while its wake-up is already queued`) {
+			t.Fatalf("recovered %v from Run, want the parked-twice panic", got)
+		}
+		// The Sleep(1) wake-up fires once and the step finishes.
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if activations != 2 || e.Now() != 1 || e.Events() != 2 {
+			t.Fatalf("after the panic: %d activations, t=%d, %d events; want 2, t=1, 2 events",
+				activations, e.Now(), e.Events())
+		}
+		// The reference engine reaches the same time and event count.
+		ref := newRefEngine()
+		ref.At(0, func() {})
+		ref.At(1, func() {})
+		if err := ref.Run(); err != nil {
+			t.Fatal(err)
+		}
+		prog := decodeProgram(seed)
+		compareRuns(t, fmt.Sprintf("seed %d after park-twice", i),
+			runProgram(stepEngine{coroEngine{e}}, prog), runProgram(refEngineAdapter{ref}, prog))
 	}
 }
