@@ -120,3 +120,103 @@ func TestFromCOOMatchesSortSliceReference(t *testing.T) {
 		t.Fatal("no input separates a stable sort from the reference; the inputs do not exercise summation order")
 	}
 }
+
+// randomUniformCOO draws a COO whose edges all carry weight w: up to 40
+// vertices (0 included) with sources and columns drawn from pools
+// smaller than n, so there are empty rows and long runs of duplicates,
+// and about one edge in eight a self-loop.
+func randomUniformCOO(rng *rand.Rand, w float64) *COO {
+	n := rng.Intn(41)
+	if n == 0 {
+		return &COO{}
+	}
+	srcPool, colPool := 1+rng.Intn(n), 1+rng.Intn(n)
+	edges := make([]Edge, rng.Intn(600))
+	for i := range edges {
+		src := int32(rng.Intn(srcPool))
+		dst := int32(rng.Intn(colPool))
+		if rng.Intn(8) == 0 {
+			dst = src
+		}
+		edges[i] = Edge{Src: src, Dst: dst, Weight: w}
+	}
+	return &COO{NumVertices: n, Edges: edges}
+}
+
+// maxMultiplicity returns the largest number of times one (src, dst)
+// pair occurs in c.
+func maxMultiplicity(c *COO) int {
+	count := map[[2]int32]int{}
+	most := 0
+	for _, e := range c.Edges {
+		k := [2]int32{e.Src, e.Dst}
+		count[k]++
+		most = max(most, count[k])
+	}
+	return most
+}
+
+// TestFromCOOUniformMatchesReference requires the counting-sort build
+// of uniform-weight edge lists to reproduce the sort.Slice reference
+// bit for bit, for shared weights whose repeated sums round (0.1),
+// underflow toward subnormals (1e-300), keep a sign (-0) or stay
+// non-finite (+Inf, a NaN with a payload). Fixed cases add zero and one
+// vertex, zero edges, a lone self-loop and a row of five duplicates
+// listed out of column order. A last list differs from uniform in one
+// weight, and must take the pdqsort path and still match.
+func TestFromCOOUniformMatchesReference(t *testing.T) {
+	weights := []float64{1, 0.1, 1e-300, math.Copysign(0, -1), math.Inf(1), math.Float64frombits(0x7ff8000000000abc)}
+	one := func(src, dst int32) Edge { return Edge{Src: src, Dst: dst, Weight: 1} }
+	cases := []*COO{
+		{},
+		{NumVertices: 1},
+		{NumVertices: 3},
+		{NumVertices: 1, Edges: []Edge{one(0, 0)}},
+		{NumVertices: 1, Edges: []Edge{one(0, 0), one(0, 0), one(0, 0)}},
+		{NumVertices: 4, Edges: []Edge{one(2, 3), one(2, 1), one(2, 3), one(0, 2), one(2, 3), one(2, 1), one(2, 3), one(2, 0), one(2, 3)}},
+	}
+	rng := rand.New(rand.NewSource(23))
+	for range 60 {
+		for _, w := range weights {
+			cases = append(cases, randomUniformCOO(rng, w))
+		}
+	}
+	most := 0
+	for i, c := range cases {
+		most = max(most, maxMultiplicity(c))
+		w, ok := uniformWeight(c.Edges)
+		if !ok {
+			t.Fatalf("case %d: uniformWeight rejects a list of one weight", i)
+		}
+		want := referenceFromCOO(c, sortSliceRow)
+		if got := fromUniformCOO(c, w); !sameCSRBits(got, want) {
+			t.Fatalf("case %d (%d vertices, %d edges, weight %v): fromUniformCOO differs from the sort.Slice reference", i, c.NumVertices, len(c.Edges), w)
+		}
+		got, err := FromCOO(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameCSRBits(got, want) {
+			t.Fatalf("case %d (%d vertices, %d edges, weight %v): FromCOO differs from the sort.Slice reference", i, c.NumVertices, len(c.Edges), w)
+		}
+	}
+	if most < 10 {
+		t.Fatalf("no edge occurs more than %d times; the cases do not reach long duplicate runs", most)
+	}
+
+	mixed := randomUniformCOO(rng, 1)
+	for len(mixed.Edges) < 2 {
+		mixed = randomUniformCOO(rng, 1)
+	}
+	mixed.Edges[len(mixed.Edges)/2].Weight = 0.5
+	if _, ok := uniformWeight(mixed.Edges); ok {
+		t.Fatal("uniformWeight accepts a list with one differing weight")
+	}
+	got, err := FromCOO(mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameCSRBits(got, referenceFromCOO(mixed, sortSliceRow)) {
+		t.Fatal("FromCOO differs from the sort.Slice reference on a list with one differing weight")
+	}
+}

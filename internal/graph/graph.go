@@ -105,9 +105,18 @@ func (m *CSR) Validate() error {
 // FromCOO builds a CSR matrix from an edge list, summing duplicate edges.
 // Edges with zero weight are kept (the generators only emit non-zero
 // weights, but callers may construct explicit zeros for testing).
+//
+// An edge list whose weights all have the same bits, as every generated
+// graph's do, is built in O(E + V) by fromUniformCOO. Any other list is
+// bucketed by row and each row sorted by sortRowsAndCoalesce. The split
+// follows the input alone, and both paths give a uniform-weight list
+// the same CSR bit for bit.
 func FromCOO(c *COO) (*CSR, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
+	}
+	if w, ok := uniformWeight(c.Edges); ok {
+		return fromUniformCOO(c, w), nil
 	}
 	n := c.NumVertices
 	// Count per-row entries.
@@ -134,13 +143,92 @@ func FromCOO(c *COO) (*CSR, error) {
 	return m, nil
 }
 
+// uniformWeight returns the weight of the edges and true when every
+// weight has the same bits (math.Float64bits, so one NaN matches only
+// itself and -0 does not match +0). An empty list is uniform.
+func uniformWeight(edges []Edge) (float64, bool) {
+	if len(edges) == 0 {
+		return 0, true
+	}
+	w := edges[0].Weight
+	bits := math.Float64bits(w)
+	for _, e := range edges[1:] {
+		if math.Float64bits(e.Weight) != bits {
+			return 0, false
+		}
+	}
+	return w, true
+}
+
+// fromUniformCOO builds the CSR of a validated edge list whose weights
+// all have w's bits, with two counting sorts. The first buckets every
+// edge's source by column. The second walks those buckets in column
+// order and appends each column to its source's row, so every row comes
+// out sorted by column with its duplicates adjacent. A run of k equal
+// columns is coalesced to w + w + ... + w, k terms added left to right.
+// Equal terms sum to the same bits in any order, so this matches
+// sortRowsAndCoalesce whatever order pdqsort leaves equal columns in;
+// k*w could round differently. Positions are int64, so no edge count
+// overflows them.
+func fromUniformCOO(c *COO, w float64) *CSR {
+	n := c.NumVertices
+	colPtr := make([]int64, n+1)
+	rowPtr := make([]int64, n+1)
+	for _, e := range c.Edges {
+		colPtr[e.Dst+1]++
+		rowPtr[e.Src+1]++
+	}
+	for i := 0; i < n; i++ {
+		colPtr[i+1] += colPtr[i]
+		rowPtr[i+1] += rowPtr[i]
+	}
+	// srcByCol[colPtr[d]:colPtr[d+1]] holds the sources of column d.
+	srcByCol := make([]int32, len(c.Edges))
+	next := make([]int64, n)
+	copy(next, colPtr[:n])
+	for _, e := range c.Edges {
+		srcByCol[next[e.Dst]] = e.Src
+		next[e.Dst]++
+	}
+	col := make([]int32, len(c.Edges))
+	copy(next, rowPtr[:n])
+	for d := 0; d < n; d++ {
+		for _, s := range srcByCol[colPtr[d]:colPtr[d+1]] {
+			col[next[s]] = int32(d)
+			next[s]++
+		}
+	}
+	// Coalesce in place. Row u is read from [rowPtr[u], rowPtr[u+1])
+	// before rowPtr[u] is moved down to its compacted start.
+	val := make([]float64, len(col))
+	out := int64(0)
+	for u := 0; u < n; u++ {
+		lo, hi := rowPtr[u], rowPtr[u+1]
+		rowPtr[u] = out
+		for i := lo; i < hi; {
+			sum := w
+			j := i + 1
+			for ; j < hi && col[j] == col[i]; j++ {
+				sum += w
+			}
+			col[out] = col[i]
+			val[out] = sum
+			out++
+			i = j
+		}
+	}
+	rowPtr[n] = out
+	return &CSR{NumVertices: n, RowPtr: rowPtr, Col: col[:out], Val: val[:out]}
+}
+
 // sortRowsAndCoalesce sorts each row by column index and merges duplicate
 // columns by summing their weights, compacting the arrays in place. The
 // sort is unstable on purpose: the order pdqsort leaves equal columns in
-// is the order duplicate weights are summed in, and every CSR built so
-// far depends on it (TestFromCOOMatchesSortSliceReference pins it). A
-// stable or counting sort would change the last bits of sums of three
-// or more weighted duplicates.
+// is the order duplicate weights are summed in, and every weighted CSR
+// built so far depends on it (TestFromCOOMatchesSortSliceReference pins
+// it). A stable or counting sort would change the last bits of sums of
+// three or more duplicates whose weights differ. Edge lists of one
+// shared weight, where that order cannot show, take fromUniformCOO.
 func (m *CSR) sortRowsAndCoalesce() {
 	type cv struct {
 		c int32

@@ -145,8 +145,8 @@ func (d Dataset) Scaled(f float64) Dataset {
 type GenerateOptions struct {
 	// MaxEdges caps the generated edge count; the dataset is scaled down
 	// (preserving average degree) if necessary. Zero means 2^21 edges:
-	// a products-shaped graph at 2^21 takes about 0.76 s to generate on
-	// a 2-vCPU x86 host, 0.35 s at 2^20 and 1.7 ms at 2^13.
+	// a products-shaped graph at 2^21 takes about 0.46 s to generate on
+	// a 2-vCPU x86 host, 0.23 s at 2^20 and 1.0 ms at 2^13.
 	MaxEdges int64
 	// Seed makes generation deterministic.
 	Seed int64

@@ -17,11 +17,13 @@
 // Params.Seed, one Float64 per recursion level per edge (five with
 // Noise), written straight into the returned edge list. GenerateN draws
 // a count that need not be a multiple of 2^Scale and folds endpoints
-// into a vertex count that need not be a power of two, which is how
-// internal/ogb builds its down-scaled datasets. Each level picks its
-// quadrant without branches from the cut points A, A+B and (A+B)+C; the
-// stream and every generated graph are pinned by internal/ogb's golden
-// corpus.
+// into a vertex count that need not be a power of two by a remainder,
+// which is how internal/ogb builds its down-scaled datasets. Both sides
+// of the remainder are below 2^30, so it divides in 32 bits, which is
+// cheaper than a 64-bit divide and gives the same endpoint. Each level
+// picks its quadrant without branches from the cut points A, A+B and
+// (A+B)+C; the stream and every generated graph are pinned by
+// internal/ogb's golden corpus.
 package rmat
 
 import (
@@ -94,8 +96,8 @@ func Generate(p Params) (*graph.COO, error) {
 
 // GenerateN samples exactly ne edges from p's quadrant distribution over
 // the 2^Scale square, seeded with p.Seed, and folds every endpoint into
-// [0, n) with % n; p.EdgeFactor is ignored. With n = 2^Scale it returns
-// the first ne edges Generate would.
+// [0, n) with a 32-bit % n; p.EdgeFactor is ignored. With n = 2^Scale
+// it returns the first ne edges Generate would.
 func GenerateN(p Params, ne int64, n int) (*graph.COO, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -117,7 +119,9 @@ func GenerateN(p Params, ne int64, n int) (*graph.COO, error) {
 			src, dst = sampleEdge(rng, &p)
 		}
 		if fold {
-			src, dst = src%n, dst%n
+			// Endpoints are below 2^Scale <= 2^30, and n is below
+			// 2^Scale, so the 32-bit remainder is exact.
+			src, dst = int(uint32(src)%uint32(n)), int(uint32(dst)%uint32(n))
 		}
 		edges[i] = graph.Edge{Src: int32(src), Dst: int32(dst), Weight: 1}
 	}

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // FuzzEngineEquivalence decodes random programs of Spawn, Sleep,
@@ -17,12 +19,26 @@ func FuzzEngineEquivalence(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// An input the engines never finish would stall the fuzzer with
+		// nothing saved. Crashing the worker instead makes the fuzzer
+		// record the input, and the stacks show where each engine hung.
+		input := fmt.Sprintf("%x", data)
+		watchdog := time.AfterFunc(fuzzInputDeadline, func() {
+			buf := make([]byte, 1<<20)
+			panic(fmt.Sprintf("FuzzEngineEquivalence: input %s still running after %v\n%s",
+				input, fuzzInputDeadline, buf[:runtime.Stack(buf, true)]))
+		})
+		defer watchdog.Stop()
 		prog := decodeProgram(data)
 		want := runProgram(refEngineAdapter{newRefEngine()}, prog)
 		compareRuns(t, "coroutine", runProgram(coroEngine{NewEngine()}, prog), want)
 		compareRuns(t, "step", runProgram(stepEngine{coroEngine{NewEngine()}}, prog), want)
 	})
 }
+
+// fuzzInputDeadline bounds one input of FuzzEngineEquivalence. A
+// program runs for milliseconds, so only a hang reaches it.
+const fuzzInputDeadline = 30 * time.Second
 
 // equivalenceSeeds encode the shapes of the engine tests in
 // sim_test.go, then the cases where a step process differs most from a
