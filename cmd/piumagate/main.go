@@ -99,7 +99,6 @@ func main() {
 		grace         = flag.Duration("shutdown-grace", 30*time.Second, "drain deadline after SIGTERM")
 		markDown      = flag.Int("markdown-after", 2, "consecutive probe failures before a replica is marked unhealthy")
 		brkThreshold  = flag.Int("breaker-threshold", 3, "consecutive 5xx submit responses that open a backend's circuit (its cooldown follows the probe backoff)")
-		hedgeDelay    = flag.Duration("hedge-delay", 0, "hedge idempotent run-status GETs to a second replica after this delay (0 disables)")
 		chaosSpec     = flag.String("chaos", "", "client-side chaos schedule applied to the fan-out transport (chaos.Spec, e.g. 'seed=7;fault=reset,target=b1,at=2s,for=3s')")
 		dataDir       = flag.String("data-dir", "", "journal admitted runs to <dir>/intake.wal and recover ownership on restart (empty = stateless gate)")
 		fsync         = flag.String("fsync", "always", "intake-ledger fsync policy: always, interval, or never")
@@ -108,7 +107,6 @@ func main() {
 		suspectAfter  = flag.Int("suspect-after", 2, "consecutive failed gossip probe rounds before a replica is suspect")
 		deadAfter     = flag.Duration("dead-after", 10*time.Second, "unrefuted suspicion age before a replica is confirmed dead")
 		reconcile     = flag.Duration("reconcile-interval", 5*time.Second, "anti-entropy sweep period over the intake ledger (requires -data-dir)")
-		stealMargin   = flag.Int("steal-margin", 0, "queue-depth imbalance that moves a queued run to the least-loaded replica (0 disables work stealing)")
 	)
 	flag.Var(quotas, "quota", "per-class admission quota as class=rate (repeatable; classes: gold, silver, bronze, batch)")
 	flag.Parse()
@@ -120,8 +118,8 @@ func main() {
 
 	// -chaos wraps the gate's fan-out transport in the deterministic
 	// fault injector, so the whole resilience stack (mark-down,
-	// breakers, hedging, failover) can be exercised against a scheduled
-	// outage without touching the replicas.
+	// breakers, failover) can be exercised against a scheduled outage
+	// without touching the replicas.
 	var hc *http.Client
 	if *chaosSpec != "" {
 		spec, err := chaos.Parse(*chaosSpec)
@@ -152,7 +150,6 @@ func main() {
 		ProbeTimeout:      *probeTimeout,
 		MarkDownAfter:     *markDown,
 		BreakerThreshold:  *brkThreshold,
-		HedgeDelay:        *hedgeDelay,
 		Rate:              *rate,
 		Burst:             *burst,
 		ClassQuotas:       quotas,
@@ -164,7 +161,6 @@ func main() {
 		SuspectAfter:      *suspectAfter,
 		DeadAfter:         *deadAfter,
 		ReconcileInterval: *reconcile,
-		StealMargin:       *stealMargin,
 	})
 	if err != nil {
 		log.Fatalf("piumagate: %v", err)

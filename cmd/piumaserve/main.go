@@ -132,12 +132,11 @@ func main() {
 
 	handler := srv.Handler()
 
-	// SWIM membership agent: the replica probes its peers, refutes
-	// suspicions about itself, and piggybacks its live queue depth on
-	// every exchange (the gate's work-stealing signal). The gossip
-	// endpoint mounts on an outer mux so it rides the same listener —
-	// and, below, sits inside the chaos middleware, so a scheduled
-	// outage blinds gossip exactly like the data path.
+	// SWIM membership agent: the replica probes its peers and refutes
+	// suspicions about itself. The gossip endpoint mounts on an outer
+	// mux so it rides the same listener — and, below, sits inside the
+	// chaos middleware, so a scheduled outage blinds gossip exactly
+	// like the data path.
 	var node *gossip.Node
 	if len(peers) > 0 {
 		if *replica == "" {
@@ -148,13 +147,12 @@ func main() {
 		}
 		var err error
 		node, err = gossip.NewNode(gossip.Config{
-			Name:       *replica,
-			Addr:       strings.TrimSuffix(*gossipAddr, "/"),
-			Peers:      peers,
-			Transport:  &gossip.HTTPTransport{},
-			Seed:       *gossipSeed,
-			Interval:   *gossipTick,
-			QueueDepth: srv.QueueDepth,
+			Name:      *replica,
+			Addr:      strings.TrimSuffix(*gossipAddr, "/"),
+			Peers:     peers,
+			Transport: &gossip.HTTPTransport{},
+			Seed:      *gossipSeed,
+			Interval:  *gossipTick,
 			OnEvent: func(e gossip.Event) {
 				log.Printf("piumaserve: gossip: %s is %s (incarnation %d)", e.Node, e.State, e.Incarnation)
 			},

@@ -261,65 +261,6 @@ func TestReconcilerRehomesOrphanedRuns(t *testing.T) {
 	}
 }
 
-// TestReconcilerStealsFromDeepQueues pins work stealing: a queued run
-// whose owner's gossiped queue depth exceeds the least-loaded healthy
-// replica's by the margin moves there, and the old queued copy is
-// canceled.
-func TestReconcilerStealsFromDeepQueues(t *testing.T) {
-	backends := []*statefulBackend{newStatefulBackend(t), newStatefulBackend(t)}
-	var decisions []ReconcileDecision
-	g := mustGate(t, Config{
-		Backends:          []string{backends[0].ts.URL, backends[1].ts.URL},
-		Seed:              1,
-		ProbeInterval:     -1,
-		ReconcileInterval: -1,
-		StealMargin:       3,
-		Clock:             newFixedClock(),
-		DataDir:           t.TempDir(),
-		OnReconcile:       func(d ReconcileDecision) { decisions = append(decisions, d) },
-	})
-	h := g.Handler()
-	if rec := postRun(t, h, submitBody(0), nil); rec.Code != http.StatusAccepted {
-		t.Fatalf("submit: status %d: %s", rec.Code, rec.Body.String())
-	}
-	runID := g.Ledger().NonTerminal()[0].RunID
-	if !backends[0].holds(runID) {
-		t.Fatal("run not on b0")
-	}
-	reps := g.Registry().All()
-
-	// Below the margin: nothing moves.
-	reps[0].setGossipQueue(2)
-	reps[1].setGossipQueue(0)
-	if n := g.ReconcileOnce(context.Background()); n != 0 {
-		t.Fatalf("sweep under margin mutated %d runs, want 0", n)
-	}
-
-	// Over the margin: the queued run moves to the shallow replica.
-	reps[0].setGossipQueue(5)
-	if n := g.ReconcileOnce(context.Background()); n != 1 {
-		t.Fatalf("sweep over margin mutated %d runs, want 1", n)
-	}
-	if backends[0].holds(runID) {
-		t.Fatal("stolen run's queued copy not canceled on b0")
-	}
-	if !backends[1].holds(runID) {
-		t.Fatal("stolen run did not land on b1")
-	}
-	if run, _ := g.Ledger().Run(runID); run.Backend != "b1" {
-		t.Fatalf("ledger backend = %q after steal, want b1", run.Backend)
-	}
-	stole := false
-	for _, d := range decisions {
-		if d.Action == ReconcileSteal && d.Backend == "b1" {
-			stole = true
-		}
-	}
-	if !stole {
-		t.Fatalf("no steal decision emitted (log: %+v)", decisions)
-	}
-}
-
 // TestGateRestartReplaysAdmission is the restart-amnesia fix: a gate
 // rebuilt over the same data directory re-derives its admission-bucket
 // fill from the journaled intake, so a burst admitted just before a

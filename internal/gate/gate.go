@@ -117,11 +117,6 @@ type Config struct {
 	// follows the backoff schedule (see ProbeInterval), counted in
 	// consecutive 5xx.
 	BreakerThreshold int
-	// HedgeDelay, when positive, hedges idempotent run-status GETs: if
-	// the first replica has not answered within the delay, the same
-	// read is raced against the next candidate and the first useful
-	// response wins (the loser is canceled). Zero disables hedging.
-	HedgeDelay time.Duration
 	// Rate is the global admission rate in requests/second (0 = no
 	// global limit). Burst is the token-bucket depth (default
 	// max(1, Rate)).
@@ -160,8 +155,7 @@ type Config struct {
 	// gossip node but leaves ticking to explicit GossipTick calls
 	// (deterministic tests), zero disables gossip entirely. With gossip
 	// on, a replica's move to suspect or dead demotes it (the suspicion
-	// thresholds below are gossip's own hysteresis), and each replica's
-	// self-reported queue depth feeds work stealing. Gossip never
+	// thresholds below are gossip's own hysteresis). Gossip never
 	// promotes a replica; probes do.
 	GossipInterval time.Duration
 	// GossipTimeout bounds one gossip exchange (default 1s).
@@ -177,11 +171,6 @@ type Config struct {
 	// negative leaves sweeping to explicit ReconcileOnce calls, zero
 	// defaults to 5s. Ignored without DataDir.
 	ReconcileInterval time.Duration
-	// StealMargin enables queued-run work stealing during
-	// reconciliation: a queued run moves to the least-loaded healthy
-	// replica when its owner's gossiped queue depth exceeds that
-	// replica's by at least this margin (0 disables stealing).
-	StealMargin int
 	// OnReconcile, when non-nil, observes every reconciliation decision
 	// synchronously in decision order — the reconciler's determinism
 	// contract.

@@ -15,8 +15,7 @@ import (
 // never promotes: a replica it demoted comes back only through a
 // passing probe (or a submission it answers), so a process whose
 // gossip agent still answers while its /healthz fails — a draining
-// piumaserve — cannot talk its way back into routing. The converged
-// view also carries each replica's self-reported queue depth.
+// piumaserve — cannot talk its way back into routing.
 
 // gateNodeName is the gate's member name in the gossip cluster.
 const gateNodeName = "gate"
@@ -64,7 +63,7 @@ func (g *Gate) Gossip() *gossip.Node { return g.node }
 
 // GossipTick runs one gossip protocol period (whose membership
 // transitions reach the registry through OnEvent) and copies the
-// resulting view's queue depths and member states. The background loop
+// resulting view's member states to the metrics. The background loop
 // calls this on its ticker; deterministic tests call it directly.
 func (g *Gate) GossipTick(ctx context.Context) {
 	if g.node == nil {
@@ -76,7 +75,6 @@ func (g *Gate) GossipTick(ctx context.Context) {
 		if rep == nil {
 			continue // the gate's own entry, or an unknown member
 		}
-		rep.setGossipQueue(int(u.QueueDepth))
 		g.metrics.setMemberState(rep.Name, float64(u.State))
 	}
 }

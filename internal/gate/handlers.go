@@ -2,7 +2,6 @@ package gate
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -283,9 +282,7 @@ func (g *Gate) parseDeadline(r *http.Request, start time.Time) time.Time {
 // handleRead serves the per-run read/cancel endpoints by trying each
 // healthy replica in order until one knows the run. Under the
 // cache-affinity policy the run's home replica is tried first, so the
-// common case is a single upstream request. Idempotent GETs are hedged
-// when HedgeDelay is set: a primary stuck in a chaos latency window is
-// raced against the next candidate and the first useful answer wins.
+// common case is a single upstream request.
 func (g *Gate) handleRead(w http.ResponseWriter, r *http.Request) {
 	start := g.clock.Now()
 	id := r.PathValue("id")
@@ -304,17 +301,7 @@ func (g *Gate) handleRead(w http.ResponseWriter, r *http.Request) {
 	if a, ok := g.router.(*affinity); ok {
 		candidates = preferFirst(candidates, a.Pick(RouteContext{RunID: id}, candidates))
 	}
-	if r.Method == http.MethodGet && g.cfg.HedgeDelay > 0 && len(candidates) >= 2 {
-		g.hedgedRead(w, r, path, id, candidates, deadline)
-		return
-	}
-	g.serialRead(w, r, path, id, candidates, nil, deadline)
-}
-
-// serialRead walks candidates in order until one knows the run. last
-// carries a remembered 404 from an earlier (hedged) attempt so the
-// backend's own error body is relayed when nobody owns the run.
-func (g *Gate) serialRead(w http.ResponseWriter, r *http.Request, path, id string, candidates []*Replica, last *http.Response, deadline time.Time) {
+	var last *http.Response
 	for _, rep := range candidates {
 		resp, err := g.forward(r, rep, r.Method, path, nil, deadline)
 		if err != nil {
@@ -348,114 +335,6 @@ func (g *Gate) serialRead(w http.ResponseWriter, r *http.Request, path, id strin
 		return
 	}
 	writeError(w, http.StatusBadGateway, "every healthy backend died while looking up run "+id)
-}
-
-// hedgedRead races a GET between the top two candidates: the primary
-// starts immediately; if it has not answered within HedgeDelay the
-// same read launches against the second candidate, and the first
-// useful response (non-404, non-error) wins. The loser's context is
-// canceled and its result reaped in the background, so neither
-// goroutines nor response bodies leak. Canceled losers are not marked
-// down — losing a race is not evidence of death.
-func (g *Gate) hedgedRead(w http.ResponseWriter, r *http.Request, path, id string, candidates []*Replica, deadline time.Time) {
-	type result struct {
-		idx  int
-		rep  *Replica
-		resp *http.Response
-		err  error
-	}
-	base := r.Context()
-	results := make(chan result, 2)
-	cancels := make([]context.CancelFunc, 2)
-	launch := func(idx int, rep *Replica) {
-		actx, cancel := context.WithCancel(base)
-		cancels[idx] = cancel
-		go func() {
-			resp, err := g.forwardCtx(actx, r, rep, r.Method, path, nil, deadline)
-			results <- result{idx: idx, rep: rep, resp: resp, err: err}
-		}()
-	}
-	launch(0, candidates[0])
-	timer := time.NewTimer(g.cfg.HedgeDelay)
-	defer timer.Stop()
-
-	launched, settled := 1, 0
-	var winner *result
-	var last *http.Response // remembered 404
-	settle := func(res result) {
-		settled++
-		if res.err != nil {
-			// A loser canceled by us (or a client hangup) says nothing
-			// about the backend; only organic errors mark it down.
-			if base.Err() == nil && cancels[res.idx] != nil && !errors.Is(res.err, context.Canceled) && !errors.Is(res.err, errBudgetExhausted) {
-				g.reg.observe(res.rep, transportError)
-			}
-			return
-		}
-		if res.resp.StatusCode == http.StatusNotFound {
-			discardIf(last)
-			last = res.resp
-			return
-		}
-		if winner == nil {
-			winner = &res
-			return
-		}
-		discard(res.resp)
-	}
-	for winner == nil && settled < launched {
-		if launched == 1 {
-			select {
-			case res := <-results:
-				settle(res)
-			case <-timer.C:
-				g.metrics.incHedge()
-				launch(1, candidates[1])
-				launched = 2
-			}
-		} else {
-			settle(<-results)
-		}
-	}
-	// Cancel whatever is still in flight and reap its result in the
-	// background (the losing transport owns a connection until its body
-	// is closed; under -race the leak detector would catch us dropping
-	// it on the floor).
-	if remaining := launched - settled; remaining > 0 {
-		for i := 0; i < launched; i++ {
-			if (winner == nil || i != winner.idx) && cancels[i] != nil {
-				cancels[i]()
-			}
-		}
-		go func(n int) {
-			for i := 0; i < n; i++ {
-				res := <-results
-				if res.resp != nil {
-					discard(res.resp)
-				}
-			}
-		}(remaining)
-	}
-	if winner != nil {
-		defer cancels[winner.idx]()
-		if winner.idx == 1 {
-			g.metrics.incHedgeWin()
-		}
-		discardIf(last)
-		g.relay(w, winner.resp, winner.rep)
-		return
-	}
-	for i := 0; i < launched; i++ {
-		if cancels[i] != nil {
-			cancels[i]()
-		}
-	}
-	if base.Err() != nil {
-		discardIf(last)
-		return
-	}
-	// Both hedged attempts came back useless; walk the rest serially.
-	g.serialRead(w, r, path, id, candidates[2:], last, deadline)
 }
 
 // clusterRun is one run in the gate's merged listing: the backend name
@@ -577,18 +456,12 @@ var errBudgetExhausted = errors.New("gate: deadline budget exhausted")
 
 // forward issues one upstream request on the incoming request's
 // context. body may be nil (reads); the original query string and the
-// SLO-class header ride along.
+// SLO-class header ride along. A non-zero deadline is the propagated
+// budget: the remaining milliseconds are re-stamped on the upstream
+// X-Piuma-Deadline-Ms header — decremented by however long the gate
+// has already held the request — and a spent budget refuses the
+// forward outright with errBudgetExhausted.
 func (g *Gate) forward(r *http.Request, rep *Replica, method, path string, body []byte, deadline time.Time) (*http.Response, error) {
-	return g.forwardCtx(r.Context(), r, rep, method, path, body, deadline)
-}
-
-// forwardCtx is forward with an explicit context (hedged reads run
-// attempts under per-attempt cancelable contexts). A non-zero deadline
-// is the propagated budget: the remaining milliseconds are re-stamped
-// on the upstream X-Piuma-Deadline-Ms header — decremented by however
-// long the gate has already held the request — and a spent budget
-// refuses the forward outright with errBudgetExhausted.
-func (g *Gate) forwardCtx(ctx context.Context, r *http.Request, rep *Replica, method, path string, body []byte, deadline time.Time) (*http.Response, error) {
 	u := rep.URL + path
 	if r.URL.RawQuery != "" {
 		u += "?" + r.URL.RawQuery
@@ -597,7 +470,7 @@ func (g *Gate) forwardCtx(ctx context.Context, r *http.Request, rep *Replica, me
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, u, rd)
+	req, err := http.NewRequestWithContext(r.Context(), method, u, rd)
 	if err != nil {
 		return nil, err
 	}
@@ -649,16 +522,12 @@ var relayBufs = sync.Pool{New: func() any {
 	return &b
 }}
 
-// discard drains and closes a response kept only provisionally.
-func discard(resp *http.Response) {
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-}
-
-// discardIf discards resp when non-nil.
+// discardIf drains and closes resp, a response kept only
+// provisionally, when non-nil.
 func discardIf(resp *http.Response) {
 	if resp != nil {
-		discard(resp)
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		resp.Body.Close()
 	}
 }
 

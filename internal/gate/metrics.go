@@ -32,14 +32,12 @@ type metrics struct {
 	probeFails   *obs.CounterVec   // by backend
 	recoveries   *obs.CounterVec   // by backend
 
-	// Circuit breakers, hedging and deadline budgets (the chaos-layer
+	// Circuit breakers and deadline budgets (the chaos-layer
 	// resilience machinery).
 	breakerState     *obs.GaugeVec   // 0 closed, 1 half-open, 2 open; by backend
 	breakerMoves     *obs.CounterVec // transitions, by backend and destination state
 	breakerRejected  *obs.Counter    // submissions refused: every candidate's circuit open
 	serverErrRetries *obs.Counter    // submissions resubmitted after a backend 5xx
-	hedges           *obs.Counter    // hedged reads launched
-	hedgeWins        *obs.Counter    // hedged reads won by the second request
 	deadlineExceeded *obs.Counter    // requests refused/stopped with the budget spent
 
 	// Durable intake, gossip membership and anti-entropy
@@ -51,8 +49,8 @@ type metrics struct {
 	reconSweeps    *obs.Counter    // anti-entropy sweeps run
 	reconFetchErrs *obs.Counter    // replica run listings that failed mid-sweep
 	reconDecisions *obs.CounterVec // reconcile decisions, by action
-	rehomed        *obs.CounterVec // runs re-homed or stolen, by destination backend
-	rehomeFails    *obs.Counter    // re-home/steal resubmissions that failed
+	rehomed        *obs.CounterVec // runs re-homed, by destination backend
+	rehomeFails    *obs.Counter    // re-home resubmissions that failed
 
 	// Scraped per-backend aggregates (pull-through from each replica's
 	// /metrics at exposition time; see scrape.go).
@@ -99,10 +97,6 @@ func newMetrics() *metrics {
 			"Submissions refused because every healthy backend's circuit was open."),
 		serverErrRetries: reg.Counter("piumagate_server_error_retries_total",
 			"Submissions resubmitted to another replica after a backend 5xx."),
-		hedges: reg.Counter("piumagate_hedged_reads_total",
-			"Run-status reads hedged to a second replica after the hedge delay."),
-		hedgeWins: reg.Counter("piumagate_hedge_wins_total",
-			"Hedged reads won by the second (hedge) request."),
 		deadlineExceeded: reg.Counter("piumagate_deadline_exhausted_total",
 			"Requests refused or abandoned because the propagated deadline budget was spent."),
 
@@ -119,11 +113,11 @@ func newMetrics() *metrics {
 		reconFetchErrs: reg.Counter("piumagate_reconcile_fetch_errors_total",
 			"Replica run listings that failed during a reconciliation sweep."),
 		reconDecisions: reg.CounterVec("piumagate_reconcile_decisions_total",
-			"Reconciliation decisions, by action (keep, terminal, rehome, steal).", "action"),
+			"Reconciliation decisions, by action (keep, terminal, rehome).", "action"),
 		rehomed: reg.CounterVec("piumagate_rehomed_runs_total",
-			"Orphaned or stolen runs resubmitted to a replica, by destination backend.", "backend"),
+			"Orphaned runs resubmitted to a replica, by destination backend.", "backend"),
 		rehomeFails: reg.Counter("piumagate_rehome_failures_total",
-			"Re-home or steal resubmissions that failed (retried next sweep)."),
+			"Re-home resubmissions that failed (retried next sweep)."),
 
 		backendUp: reg.GaugeVec("piumagate_backend_up",
 			"Whether the last /metrics scrape of the backend succeeded.", "backend"),
@@ -208,8 +202,6 @@ func (m *metrics) incProxyError() { m.proxyErrors.Inc() }
 
 func (m *metrics) incBreakerRejected()  { m.breakerRejected.Inc() }
 func (m *metrics) incServerErrRetry()   { m.serverErrRetries.Inc() }
-func (m *metrics) incHedge()            { m.hedges.Inc() }
-func (m *metrics) incHedgeWin()         { m.hedgeWins.Inc() }
 func (m *metrics) incDeadlineExceeded() { m.deadlineExceeded.Inc() }
 
 // breakerStateValue maps a circuit state onto its gauge encoding.
@@ -273,7 +265,7 @@ func (m *metrics) incRehomeFailure()       { m.rehomeFails.Inc() }
 // vocabulary sanctioned in the metriclabels analyzer.
 func (m *metrics) observeReconcile(d ReconcileDecision) { m.reconDecisions.With(d.Action).Inc() }
 
-// incRehomed counts a successful re-home/steal resubmission by its
+// incRehomed counts a successful re-home resubmission by its
 // destination backend (the registry's fixed name set).
 func (m *metrics) incRehomed(backend string) { m.rehomed.With(backend).Inc() }
 

@@ -22,26 +22,22 @@ import (
 //	           every copy is canceled): record the status in the
 //	           ledger; compaction drops the run.
 //	keep     — a live replica still owns the run; nothing to do.
-//	steal    — the run is queued on a replica whose gossiped queue
-//	           depth exceeds the least-loaded replica's by the steal
-//	           margin: resubmit it there and cancel the queued copy.
 //	rehome   — no live replica knows the run (its owner died for
 //	           good): resubmit the journaled (experiment, options) to a
 //	           healthy replica picked by the cache-affinity ring.
 //
-// Re-homing and stealing are safe for the same reason failover is: the
-// RunID is a content address and replicas deduplicate, so the worst
-// case is a cache hit, never a duplicate simulation. Decisions are
-// made in admission order over replicas in registration order, so a
-// sweep is a pure function of (ledger, replica responses, gossip
-// depths) — the determinism contract the OnReconcile log asserts.
+// Re-homing is safe for the same reason failover is: the RunID is a
+// content address and replicas deduplicate, so the worst case is a
+// cache hit, never a duplicate simulation. Decisions are made in
+// admission order over replicas in registration order, so a sweep is
+// a pure function of (ledger, replica responses) — the determinism
+// contract the OnReconcile log asserts.
 
 // Reconcile actions — ReconcileDecision.Action's closed vocabulary
 // (sanctioned as a metric label in the metriclabels analyzer).
 const (
 	ReconcileTerminal = "terminal"
 	ReconcileKeep     = "keep"
-	ReconcileSteal    = "steal"
 	ReconcileRehome   = "rehome"
 )
 
@@ -55,7 +51,7 @@ type ReconcileDecision struct {
 	Action string `json:"action"`
 	// Backend is where the run lives after the decision (the observing
 	// replica for terminal, the owner for keep, the new home for
-	// steal/rehome).
+	// rehome).
 	Backend string `json:"backend,omitempty"`
 	// Status is the terminal status recorded (terminal action only).
 	Status string `json:"status,omitempty"`
@@ -73,8 +69,8 @@ func (g *Gate) decide(runID, action, backend, status string) {
 
 // ReconcileOnce runs one anti-entropy sweep. The background loop calls
 // it on its ticker; tests call it directly for deterministic
-// reconciliation. It reports how many runs were re-homed or stolen
-// (the mutation count) so callers can loop until quiescence.
+// reconciliation. It reports how many runs were re-homed (the
+// mutation count) so callers can loop until quiescence.
 func (g *Gate) ReconcileOnce(ctx context.Context) int {
 	if g.ledger == nil {
 		return 0
@@ -123,12 +119,10 @@ func (g *Gate) ReconcileOnce(ctx context.Context) int {
 	return mutations
 }
 
-// reconcileRun decides one run; reports whether it mutated cluster
-// state (steal or rehome).
+// reconcileRun decides one run; reports whether it re-homed it.
 func (g *Gate) reconcileRun(ctx context.Context, ring *affinity, reachable []*Replica, owned map[string]map[string]string, runID, experiment string, options json.RawMessage) bool {
 	// Collect the run's copies in registration order.
 	var liveRep *Replica // first replica holding a non-terminal copy
-	liveStatus := ""
 	canceledRep := ""
 	for _, rep := range reachable {
 		status, ok := owned[rep.Name][runID]
@@ -146,20 +140,11 @@ func (g *Gate) reconcileRun(ctx context.Context, ring *affinity, reachable []*Re
 			canceledRep = rep.Name
 		default:
 			if liveRep == nil {
-				liveRep, liveStatus = rep, status
+				liveRep = rep
 			}
 		}
 	}
 	if liveRep != nil {
-		if target := g.stealTarget(liveRep, liveStatus, reachable); target != nil {
-			if g.resubmit(ctx, target, runID, experiment, options) {
-				g.cancelOn(ctx, liveRep, runID)
-				g.ledgerRouted(runID, target.Name)
-				g.decide(runID, ReconcileSteal, target.Name, "")
-				return true
-			}
-			g.metrics.incRehomeFailure()
-		}
 		g.decide(runID, ReconcileKeep, liveRep.Name, "")
 		return false
 	}
@@ -194,38 +179,6 @@ func (g *Gate) recordTerminal(runID, status, backend string) {
 	if moved {
 		g.decide(runID, ReconcileTerminal, backend, status)
 	}
-}
-
-// stealTarget picks the work-stealing destination for a queued run, or
-// nil when stealing does not apply: stealing must be enabled
-// (StealMargin > 0), the run must still be queued, both queue depths
-// must be known from gossip, and the imbalance must clear the margin.
-func (g *Gate) stealTarget(owner *Replica, status string, reachable []*Replica) *Replica {
-	if g.cfg.StealMargin <= 0 || serve.Status(status) != serve.StatusQueued {
-		return nil
-	}
-	ownerDepth := owner.GossipQueueDepth()
-	if ownerDepth < 0 {
-		return nil
-	}
-	var best *Replica
-	bestDepth := 0
-	for _, rep := range reachable {
-		if rep == owner {
-			continue
-		}
-		d := rep.GossipQueueDepth()
-		if d < 0 {
-			continue
-		}
-		if best == nil || d < bestDepth {
-			best, bestDepth = rep, d
-		}
-	}
-	if best == nil || ownerDepth-bestDepth < g.cfg.StealMargin {
-		return nil
-	}
-	return best
 }
 
 // fetchRuns lists one replica's runs as a runID → status map.
@@ -283,20 +236,4 @@ func (g *Gate) resubmit(ctx context.Context, rep *Replica, runID, experiment str
 	g.metrics.incRehomed(rep.Name)
 	_ = runID // the content address rides in the body's (experiment, options)
 	return true
-}
-
-// cancelOn deletes a stolen run's queued copy from its old owner. Best
-// effort: if the cancel loses a race with the worker pool, the old
-// copy runs to completion and the new one collapses to a dedup hit.
-func (g *Gate) cancelOn(ctx context.Context, rep *Replica, runID string) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, rep.URL+"/v1/runs/"+runID, nil)
-	if err != nil {
-		return
-	}
-	resp, err := g.hc.Do(req)
-	if err != nil {
-		return
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
 }

@@ -27,10 +27,9 @@ type Replica struct {
 	idx    int
 	client *serve.Client
 
-	mu          sync.Mutex
-	live        liveness
-	inFlight    int
-	gossipQueue int // gossiped queue depth; -1 until first gossip
+	mu       sync.Mutex
+	live     liveness
+	inFlight int
 }
 
 // Healthy reports whether the replica is reachable (routable).
@@ -74,20 +73,6 @@ func (r *Replica) admits(now time.Time) bool {
 func (r *Replica) addInFlight(d int) {
 	r.mu.Lock()
 	r.inFlight += d
-	r.mu.Unlock()
-}
-
-// GossipQueueDepth is the replica's last gossiped run-queue depth, -1
-// while no gossip update has arrived — the work-stealing signal.
-func (r *Replica) GossipQueueDepth() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gossipQueue
-}
-
-func (r *Replica) setGossipQueue(d int) {
-	r.mu.Lock()
-	r.gossipQueue = d
 	r.mu.Unlock()
 }
 
@@ -151,7 +136,6 @@ func NewRegistry(cfg Config, m *metrics) (*Registry, error) {
 				circuit:   BreakerClosed,
 				rng:       rand.New(rand.NewSource(cfg.Seed + int64(i) + 1)),
 			},
-			gossipQueue: -1,
 		}
 		reg.replicas = append(reg.replicas, rep)
 		m.setBackendHealthy(rep.Name, 1)

@@ -382,101 +382,88 @@ func TestMarkDownHysteresis(t *testing.T) {
 	}
 }
 
-// TestHedgedReadWins: an idempotent run-status GET stuck on a slow
-// primary is hedged to the second replica after HedgeDelay; the hedge's
-// answer is relayed, the loser's context is canceled promptly, and the
-// loser is NOT marked down — losing a race is not evidence of death.
-// Run under -race this also death-tests the reaper: the losing
-// goroutine and its response must be drained, not leaked.
-func TestHedgedReadWins(t *testing.T) {
-	var slowCanceled atomic.Bool
-	slowMux := http.NewServeMux()
-	slowMux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+// readBackend is a fake replica that holds at most one run, owned (""
+// holds none): GET /v1/runs/{id}, DELETE and /profile answer 200 for
+// that ID and the replica's own 404 body, naming it, for any other.
+func readBackend(t *testing.T, name, owned string) *httptest.Server {
+	t.Helper()
+	answer := func(body string) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			if id := r.PathValue("id"); id != owned {
+				w.WriteHeader(http.StatusNotFound)
+				fmt.Fprintf(w, `{"error":"%s: unknown run %s"}`, name, id)
+				return
+			}
+			fmt.Fprint(w, body)
+		}
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	})
-	slowMux.HandleFunc("GET /v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-r.Context().Done():
-			slowCanceled.Store(true)
-		case <-time.After(5 * time.Second):
-			fmt.Fprint(w, `{"id":"r-slow","experiment":"table1","status":"done"}`)
-		}
-	})
-	slow := httptest.NewServer(slowMux)
-	t.Cleanup(slow.Close)
-
-	fastMux := http.NewServeMux()
-	fastMux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})
-	fastMux.HandleFunc("GET /v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"id":"r-x","experiment":"table1","status":"done"}`)
-	})
-	fast := httptest.NewServer(fastMux)
-	t.Cleanup(fast.Close)
-
-	g := mustGate(t, Config{
-		Backends:      []string{slow.URL, fast.URL},
-		Policy:        PolicyRoundRobin,
-		Seed:          1,
-		ProbeInterval: -1,
-		HedgeDelay:    25 * time.Millisecond,
-	})
-	h := g.Handler()
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/r-x", nil))
-	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "r-x") {
-		t.Fatalf("hedged read: status %d body %s", rec.Code, rec.Body.String())
-	}
-	if got := rec.Header().Get(BackendHeader); got != "b1" {
-		t.Fatalf("served by %q, want the hedge (b1) to win", got)
-	}
-
-	// The loser's context must be canceled promptly — not after the slow
-	// handler's own 5s timer.
-	deadline := time.Now().Add(2 * time.Second)
-	for !slowCanceled.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("losing hedge attempt was never canceled")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for _, rep := range g.Registry().All() {
-		if !rep.Healthy() {
-			t.Fatalf("replica %s marked down by a canceled hedge loser", rep.Name)
-		}
-	}
-	m := metricsBody(t, h)
-	if !strings.Contains(m, "piumagate_hedged_reads_total 1") || !strings.Contains(m, "piumagate_hedge_wins_total 1") {
-		t.Errorf("metrics missing hedge counts:\n%s", m)
-	}
+	mux.HandleFunc("GET /v1/runs/{id}", answer(`{"id":"r-owned","status":"done"}`))
+	mux.HandleFunc("DELETE /v1/runs/{id}", answer(`{"id":"r-owned","status":"canceled"}`))
+	mux.HandleFunc("GET /v1/runs/{id}/profile", answer(`{"runs":[]}`))
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
 }
 
-// TestHedgeIdleWhenPrimaryFast: a primary answering inside HedgeDelay
-// never triggers the hedge.
-func TestHedgeIdleWhenPrimaryFast(t *testing.T) {
-	urls := []string{fakeBackend(t).URL, fakeBackend(t).URL}
-	g := mustGate(t, Config{
-		Backends:      urls,
-		Policy:        PolicyRoundRobin,
-		Seed:          1,
-		ProbeInterval: -1,
-		HedgeDelay:    500 * time.Millisecond,
-	})
-	h := g.Handler()
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/r-fake", nil))
-	if rec.Code != http.StatusNotFound {
-		// fakeBackend has no GET /v1/runs/{id} route; both 404 and the
-		// gate relays the remembered 404. That is fine — the point here
-		// is the hedge counter, not the payload.
-		t.Logf("read status %d", rec.Code)
+// TestReadFindsRunOnLaterReplica pins the read walk past the first
+// candidate: a run held only by the second replica is found whether the
+// first answers 404 or dies on the wire, and when nobody holds it a
+// backend's own 404 body is relayed. Round-robin keeps b0 first, so
+// the owner is never tried first.
+func TestReadFindsRunOnLaterReplica(t *testing.T) {
+	reads := []struct{ name, method, suffix, want string }{
+		{"get", http.MethodGet, "", `"status":"done"`},
+		{"delete", http.MethodDelete, "", `"status":"canceled"`},
+		{"profile", http.MethodGet, "/profile", `"runs"`},
 	}
-	m := metricsBody(t, h)
-	if !strings.Contains(m, "piumagate_hedged_reads_total 0") {
-		t.Errorf("hedge fired despite fast primary:\n%s", m)
+	for _, rd := range reads {
+		t.Run(rd.name, func(t *testing.T) {
+			read := func(urls ...string) (*Gate, *httptest.ResponseRecorder) {
+				g := mustGate(t, Config{
+					Backends:      urls,
+					Policy:        PolicyRoundRobin,
+					Seed:          1,
+					ProbeInterval: -1,
+				})
+				rec := httptest.NewRecorder()
+				g.Handler().ServeHTTP(rec, httptest.NewRequest(rd.method, "/v1/runs/r-owned"+rd.suffix, nil))
+				return g, rec
+			}
+			found := func(rec *httptest.ResponseRecorder) {
+				t.Helper()
+				if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), rd.want) {
+					t.Fatalf("status %d body %s, want 200 with %s", rec.Code, rec.Body.String(), rd.want)
+				}
+				if got := rec.Header().Get(BackendHeader); got != "b1" {
+					t.Fatalf("served by %q, want b1", got)
+				}
+			}
+
+			// The primary answers 404 at once; b1 owns the run.
+			_, rec := read(readBackend(t, "b0", "").URL, readBackend(t, "b1", "r-owned").URL)
+			found(rec)
+
+			// The primary's listener is closed: the transport error marks
+			// it down and the walk goes on to b1.
+			dead := readBackend(t, "b0", "r-owned")
+			dead.Close()
+			g, rec := read(dead.URL, readBackend(t, "b1", "r-owned").URL)
+			found(rec)
+			if g.Registry().All()[0].Healthy() {
+				t.Fatal("b0 still healthy after a transport error")
+			}
+
+			// Nobody owns the run: a backend's own 404 body is relayed.
+			_, rec = read(readBackend(t, "b0", "").URL, readBackend(t, "b1", "").URL)
+			if rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), "unknown run r-owned") {
+				t.Fatalf("status %d body %s, want the backend's 404", rec.Code, rec.Body.String())
+			}
+		})
 	}
 }
 
@@ -668,7 +655,6 @@ func TestChaosClusterNoLostRuns(t *testing.T) {
 		ProbeTimeout:     time.Second,
 		MarkDownAfter:    2,
 		BreakerThreshold: 2,
-		HedgeDelay:       25 * time.Millisecond,
 		HTTPClient:       chaos.WrapClient(serve.DefaultHTTPClient(), inj, chaos.Targets(urls)),
 	})
 	gts := httptest.NewServer(g.Handler())

@@ -15,10 +15,10 @@ import (
 // where str8 is a u8 length prefix followed by that many bytes, and
 // each update is
 //
-//	┌──────┬──────┬───────┬─────────────┬─────────────┐
-//	│ node │ addr │ state │ incarnation │ queue depth │
-//	│ str8 │ str8 │ u8    │ u32         │ u32         │
-//	└──────┴──────┴───────┴─────────────┴─────────────┘
+//	┌──────┬──────┬───────┬─────────────┐
+//	│ node │ addr │ state │ incarnation │
+//	│ str8 │ str8 │ u8    │ u32         │
+//	└──────┴──────┴───────┴─────────────┘
 //
 // Decode is strict: wrong magic or version, an out-of-range kind or
 // state, a truncated field, an oversized update count or trailing
@@ -29,7 +29,7 @@ import (
 const (
 	codecMagic0  = 'P'
 	codecMagic1  = 'G'
-	codecVersion = 1
+	codecVersion = 2
 	// MaxUpdates bounds the piggybacked membership updates per message.
 	// Clusters here are replica sets behind one gate, far below this.
 	MaxUpdates = 64
@@ -89,15 +89,13 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
-// Update is one member's gossiped record: identity, claimed state, the
-// incarnation number that orders conflicting claims, and the member's
-// self-reported queue depth (the work-stealing signal).
+// Update is one member's gossiped record: identity, claimed state and
+// the incarnation number that orders conflicting claims.
 type Update struct {
 	Node        string `json:"node"`
 	Addr        string `json:"addr,omitempty"`
 	State       State  `json:"state"`
 	Incarnation uint32 `json:"incarnation"`
-	QueueDepth  uint32 `json:"queue_depth"`
 }
 
 // Message is one gossip exchange payload.
@@ -145,7 +143,6 @@ func Encode(m Message) ([]byte, error) {
 		}
 		buf = append(buf, byte(u.State))
 		buf = binary.LittleEndian.AppendUint32(buf, u.Incarnation)
-		buf = binary.LittleEndian.AppendUint32(buf, u.QueueDepth)
 	}
 	return buf, nil
 }
@@ -189,7 +186,6 @@ func Decode(b []byte) (Message, error) {
 			return Message{}, fmt.Errorf("gossip: unknown state %d", u.State)
 		}
 		u.Incarnation = d.u32()
-		u.QueueDepth = d.u32()
 		m.Updates = append(m.Updates, u)
 	}
 	if d.err != nil {

@@ -9,9 +9,9 @@ var benchMessage = Message{
 	Seq:  42,
 	From: "b0",
 	Updates: []Update{
-		{Node: "b0", Addr: "http://127.0.0.1:8081", State: StateAlive, Incarnation: 3, QueueDepth: 7},
-		{Node: "b1", Addr: "http://127.0.0.1:8082", State: StateSuspect, Incarnation: 2, QueueDepth: 0},
-		{Node: "b2", Addr: "http://127.0.0.1:8083", State: StateAlive, Incarnation: 5, QueueDepth: 12},
+		{Node: "b0", Addr: "http://127.0.0.1:8081", State: StateAlive, Incarnation: 3},
+		{Node: "b1", Addr: "http://127.0.0.1:8082", State: StateSuspect, Incarnation: 2},
+		{Node: "b2", Addr: "http://127.0.0.1:8083", State: StateAlive, Incarnation: 5},
 		{Node: "gate", State: StateAlive, Incarnation: 1},
 	},
 }

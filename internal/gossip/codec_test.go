@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -19,9 +20,9 @@ func TestCodecRoundTrip(t *testing.T) {
 		{Kind: KindPing, Seq: 0, From: "gate"},
 		{Kind: KindPingReq, Seq: 42, From: "b0", Target: "b2"},
 		{Kind: KindAck, Seq: 7, From: "b1", Updates: []Update{
-			{Node: "b0", Addr: "http://127.0.0.1:8081", State: StateAlive, Incarnation: 3, QueueDepth: 12},
+			{Node: "b0", Addr: "http://127.0.0.1:8081", State: StateAlive, Incarnation: 3},
 			{Node: "b1", State: StateSuspect, Incarnation: 1},
-			{Node: "b2", State: StateDead, Incarnation: 9, QueueDepth: 4},
+			{Node: "b2", State: StateDead, Incarnation: 9},
 		}},
 	}
 	for _, m := range msgs {
@@ -53,7 +54,7 @@ func TestCodecRoundTrip(t *testing.T) {
 
 func TestCodecRejectsMalformed(t *testing.T) {
 	valid := mustEncode(t, Message{Kind: KindAck, Seq: 1, From: "b0", Updates: []Update{
-		{Node: "b1", State: StateAlive, Incarnation: 2, QueueDepth: 1},
+		{Node: "b1", State: StateAlive, Incarnation: 2},
 	}})
 	cases := map[string][]byte{
 		"empty":          {},
@@ -71,9 +72,15 @@ func TestCodecRejectsMalformed(t *testing.T) {
 	}
 	// Out-of-range state byte inside an update.
 	bad := append([]byte{}, valid...)
-	bad[len(bad)-9] = 7 // state byte precedes incarnation (4) + queue depth (4)
+	bad[len(bad)-5] = 7 // state byte precedes incarnation (4)
 	if _, err := Decode(bad); err == nil {
 		t.Error("decode accepted an unknown member state")
+	}
+	// A version-1 peer's frame of the same message (each update then
+	// ended in a u32 queue depth) is refused by version, not misparsed.
+	v1 := append(append([]byte{codecMagic0, codecMagic1, 1}, valid[3:]...), 0, 0, 0, 0)
+	if _, err := Decode(v1); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Errorf("decode of a v1 frame: err %v, want unsupported version 1", err)
 	}
 }
 
@@ -97,7 +104,7 @@ func FuzzGossipDecode(f *testing.F) {
 		{Kind: KindPing, Seq: 1, From: "gate"},
 		{Kind: KindPingReq, Seq: 2, From: "b0", Target: "b1"},
 		{Kind: KindAck, Seq: 3, From: "b1", Updates: []Update{
-			{Node: "b0", Addr: "http://x", State: StateSuspect, Incarnation: 5, QueueDepth: 2},
+			{Node: "b0", Addr: "http://x", State: StateSuspect, Incarnation: 5},
 		}},
 	}
 	for _, m := range seed {

@@ -2,11 +2,10 @@
 // cluster: each node periodically pings one peer (picked by a seeded
 // randomized round-robin), falls back to indirect ping-req probes
 // through other members when the direct probe fails, and piggybacks its
-// full membership view — member states, incarnation numbers and
-// self-reported queue depths — on every message. Failure detection is
-// therefore O(1) per node per protocol period regardless of cluster
-// size, and health information spreads epidemically instead of through
-// a central prober.
+// full membership view — member states and incarnation numbers — on
+// every message. Failure detection is therefore O(1) per node per
+// protocol period regardless of cluster size, and health information
+// spreads epidemically instead of through a central prober.
 //
 // States follow SWIM's alive → suspect → dead lifecycle: a member whose
 // probes fail is only *suspected* first, and can refute the suspicion
@@ -105,9 +104,6 @@ type Config struct {
 	// DeadAfter is how long a suspicion may stand unrefuted before the
 	// member is confirmed dead (default 10s).
 	DeadAfter time.Duration
-	// QueueDepth, when non-nil, reports this node's run-queue depth for
-	// piggybacking (the gate's work-stealing signal).
-	QueueDepth func() int
 	// OnEvent, when non-nil, observes every membership transition
 	// synchronously in emission (Seq) order, even when Ticks and
 	// Receives race. Delivery is serialized, so the callback must not
@@ -143,7 +139,6 @@ type member struct {
 	addr        string
 	state       State
 	incarnation uint32
-	queueDepth  uint32
 	misses      int       // consecutive failed probe rounds
 	suspectedAt time.Time // when the local node first suspected it
 }
@@ -224,29 +219,12 @@ func (n *Node) View() []Update {
 // below), peers after, all sorted by name.
 func (n *Node) updatesLocked() []Update {
 	out := make([]Update, 0, len(n.members)+1)
-	out = append(out, Update{
-		Node: n.cfg.Name, Addr: n.cfg.Addr, State: StateAlive,
-		Incarnation: n.selfInc, QueueDepth: n.localQueueDepth(),
-	})
+	out = append(out, Update{Node: n.cfg.Name, Addr: n.cfg.Addr, State: StateAlive, Incarnation: n.selfInc})
 	for _, m := range n.members {
-		out = append(out, Update{
-			Node: m.name, Addr: m.addr, State: m.state,
-			Incarnation: m.incarnation, QueueDepth: m.queueDepth,
-		})
+		out = append(out, Update{Node: m.name, Addr: m.addr, State: m.state, Incarnation: m.incarnation})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
-}
-
-func (n *Node) localQueueDepth() uint32 {
-	if n.cfg.QueueDepth == nil {
-		return 0
-	}
-	d := n.cfg.QueueDepth()
-	if d < 0 {
-		return 0
-	}
-	return uint32(d)
 }
 
 // emit drains every sequenced-but-undelivered event to OnEvent. The
@@ -462,7 +440,6 @@ func (n *Node) Apply(updates []Update) []Event {
 		}
 		changed := m.state != u.State
 		m.incarnation = u.Incarnation
-		m.queueDepth = u.QueueDepth
 		if changed {
 			m.state = u.State
 			if u.State == StateSuspect {
@@ -483,11 +460,7 @@ func supersedes(u Update, m *member) bool {
 	if u.Incarnation != m.incarnation {
 		return u.Incarnation > m.incarnation
 	}
-	if u.State != m.state {
-		return u.State > m.state // dead > suspect > alive
-	}
-	// Same incarnation, same state: refresh the queue depth.
-	return true
+	return u.State > m.state // dead > suspect > alive
 }
 
 // Receive handles one inbound message and returns the reply. Pings are

@@ -205,31 +205,6 @@ func TestSuspicionRefutedBeforeConfirmation(t *testing.T) {
 	}
 }
 
-func TestQueueDepthPropagates(t *testing.T) {
-	c := newCluster(t, 5)
-	depth := 7
-	n2, err := NewNode(Config{
-		Name: "b2", Addr: "mem://b2",
-		Peers:     []Peer{{Name: "b0", Addr: "mem://b0"}, {Name: "b1", Addr: "mem://b1"}},
-		Transport: c.mt, Clock: c.clock, Seed: 5,
-		QueueDepth: func() int { return depth },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.nodes[2] = n2
-	c.mt.Register("mem://b2", n2)
-	for i := 0; i < 6; i++ {
-		c.round(0, 1, 2)
-	}
-	for _, i := range []int{0, 1} {
-		u, ok := stateOf(c.nodes[i].View(), "b2")
-		if !ok || u.QueueDepth != 7 {
-			t.Fatalf("node %d sees b2 queue depth %d, want 7", i, u.QueueDepth)
-		}
-	}
-}
-
 func TestHTTPTransportExchange(t *testing.T) {
 	clock := newFixedClock()
 	mkNode := func(name string, peers []Peer) *Node {

@@ -44,8 +44,8 @@ var MetricLabelsAnalyzer = &Analyzer{
 // gate.BreakerTransition's Backend and To fields are bounded for the
 // same reasons: Backend is always a Replica.Name, and To is one of the
 // three breaker state constants (closed/open/half-open).
-// gate.ReconcileDecision.Action is one of the four reconcile action
-// constants (terminal/keep/rehome/steal) — the reconciler constructs
+// gate.ReconcileDecision.Action is one of the three reconcile action
+// constants (terminal/keep/rehome) — the reconciler constructs
 // decisions from that closed set only.
 var boundedFields = map[string]bool{
 	"bench.Experiment.ID":            true,

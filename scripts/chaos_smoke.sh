@@ -5,9 +5,10 @@
 # of b1 — while the open-loop "smoke" scenario drives the cluster.
 # The invariant: every run the cluster ACCEPTED reaches a terminal
 # state and no run is duplicated on a replica (failover resubmission
-# is dedup'd by the content-addressed run ID). Afterwards both
-# replicas must recover: probes restore registry health and every
-# circuit breaker returns to closed.
+# is dedup'd by the content-addressed run ID). Every run a replica
+# lists must read back through the gate's per-run GET with a terminal
+# status. Afterwards both replicas must recover: probes restore
+# registry health and every circuit breaker returns to closed.
 #
 # Usage: scripts/chaos_smoke.sh
 set -euo pipefail
@@ -75,7 +76,7 @@ wait_healthy "http://$B_ADDR" "$BPID" "replica b1"
 CHAOS='seed=7;fault=reset,target=b0,at=1s,for=800ms,rate=0.5;fault=blackhole,target=b1,at=2s,for=600ms'
 "$GATE" -addr "$G_ADDR" -backends "http://$A_ADDR,http://$B_ADDR" \
     -policy cache-affinity -probe-interval 150ms -markdown-after 2 \
-    -breaker-threshold 2 -hedge-delay 50ms \
+    -breaker-threshold 2 \
     -chaos "$CHAOS" >"$TMP/gate.log" 2>&1 &
 GPID=$!
 wait_healthy "$GBASE" "$GPID" "piumagate"
@@ -115,12 +116,26 @@ LISTING=$(curl -s "$GBASE/v1/runs")
 if echo "$LISTING" | grep -q '"status": "queued"\|"status": "running"'; then
     fail "non-terminal run left after the chaos run settled: $LISTING"
 fi
+ALL_IDS=""
 for base in "http://$A_ADDR" "http://$B_ADDR"; do
     IDS=$(curl -s "$base/v1/runs" | sed -n 's/.*"id"[[:space:]]*:[[:space:]]*"\(r-[0-9a-f]*\)".*/\1/p')
     DUPES=$(echo "$IDS" | sort | uniq -d)
     [ -z "$DUPES" ] || fail "replica $base executed a run twice: $DUPES"
+    ALL_IDS="$ALL_IDS $IDS"
 done
 echo "no replica holds a duplicated run"
+
+echo "== every listed run reads back through the gate, terminal =="
+READS=0
+for id in $(echo $ALL_IDS | tr ' ' '\n' | sort -u); do
+    CODE=$(curl -s -o "$TMP/run.json" -w '%{http_code}' "$GBASE/v1/runs/$id")
+    [ "$CODE" = 200 ] || fail "GET /v1/runs/$id through the gate answered $CODE: $(cat "$TMP/run.json")"
+    grep -q '"status": *"\(done\|failed\|canceled\|timeout\)"' "$TMP/run.json" \
+        || fail "run $id read back non-terminal: $(cat "$TMP/run.json")"
+    READS=$((READS + 1))
+done
+[ "$READS" -ge 1 ] || fail "no replica lists a run to read back"
+echo "$READS run(s) read back terminal through the gate"
 
 echo "== replicas and breakers recovered =="
 BACKENDS=$(curl -s "$GBASE/v1/gate/backends")
@@ -133,7 +148,7 @@ fi
 echo "== gate resilience metrics present =="
 METRICS=$(curl -s "$GBASE/metrics")
 for family in piumagate_breaker_state piumagate_breaker_transitions_total \
-    piumagate_hedged_reads_total piumagate_deadline_exhausted_total; do
+    piumagate_deadline_exhausted_total; do
     echo "$METRICS" | grep -q "$family" || fail "gate metrics missing $family"
 done
 
