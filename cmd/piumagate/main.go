@@ -20,8 +20,8 @@
 //	curl localhost:8080/v1/gate/backends
 //	curl localhost:8080/metrics
 //
-// Routing policies (-policy): round-robin, least-loaded,
-// cache-affinity. Cache-affinity consistent-hashes the
+// Routing policies (-policy): round-robin, cache-affinity.
+// Cache-affinity consistent-hashes the
 // content-addressed RunID so repeat submissions land on the replica
 // that already caches the result.
 //

@@ -13,7 +13,7 @@ import (
 
 // cacheVersion salts every key: bump it when diagnostic formats or
 // analyzer semantics change so stale entries cannot replay.
-const cacheVersion = "piumalint-cache-v1"
+const cacheVersion = "piumalint-cache-v2"
 
 // resultCache is a content-addressed store of analysis results: one
 // JSON file of diagnostics per key, written atomically. Keys bind the

@@ -14,8 +14,7 @@
 //	            gossip on a demoted replica stays down. The open
 //	            circuit's cooldown follows the probe backoff.
 //	Router    — pluggable routing policies behind one interface:
-//	            round-robin (pure function of the request sequence),
-//	            least-loaded (fewest gate-tracked in-flight requests),
+//	            round-robin (pure function of the request sequence)
 //	            and cache-affinity (consistent hashing of the
 //	            content-addressed RunID, so repeat submissions of the
 //	            same options land on the replica that already holds
@@ -85,8 +84,8 @@ type Config struct {
 	// names are assigned by index ("b0", "b1", ...), which is what
 	// bounds the per-backend metric label vocabulary.
 	Backends []string
-	// Policy selects the router: PolicyRoundRobin (default),
-	// PolicyLeastLoaded or PolicyCacheAffinity.
+	// Policy selects the router: PolicyRoundRobin (default) or
+	// PolicyCacheAffinity.
 	Policy string
 	// Seed drives the backoff jitter of probes and circuit cooldowns.
 	// Routing itself consumes no randomness; the seed exists so the full

@@ -34,7 +34,7 @@ const maxSubmitBytes = 1 << 20
 //	POST   /v1/runs            admission → routing policy → forward
 //	                           (failover on backend death)
 //	GET    /v1/runs            fan-out merge of every replica's runs
-//	GET    /v1/runs/{id}       fan-out lookup (affinity-first ordering)
+//	GET    /v1/runs/{id}       fan-out lookup (ledger or affinity home first)
 //	GET    /v1/runs/{id}/profile  fan-out lookup
 //	DELETE /v1/runs/{id}       fan-out cancel
 //	GET    /v1/gate/backends   replica registry status
@@ -280,8 +280,9 @@ func (g *Gate) parseDeadline(r *http.Request, start time.Time) time.Time {
 }
 
 // handleRead serves the per-run read/cancel endpoints by trying each
-// healthy replica in order until one knows the run. Under the
-// cache-affinity policy the run's home replica is tried first, so the
+// healthy replica in order until one knows the run. The replica the
+// intake ledger routed the run to is tried first (under the
+// cache-affinity policy, without a record, the run's ring home), so the
 // common case is a single upstream request.
 func (g *Gate) handleRead(w http.ResponseWriter, r *http.Request) {
 	start := g.clock.Now()
@@ -298,8 +299,8 @@ func (g *Gate) handleRead(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "no healthy backend")
 		return
 	}
-	if a, ok := g.router.(*affinity); ok {
-		candidates = preferFirst(candidates, a.Pick(RouteContext{RunID: id}, candidates))
+	if home := g.readHome(id, candidates); home != nil {
+		candidates = preferFirst(candidates, home)
 	}
 	var last *http.Response
 	for _, rep := range candidates {
@@ -335,6 +336,26 @@ func (g *Gate) handleRead(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeError(w, http.StatusBadGateway, "every healthy backend died while looking up run "+id)
+}
+
+// readHome is the replica a read of run id asks first: the backend the
+// intake ledger last routed the run to, or, when the ledger has no
+// healthy backend on record, the affinity ring's pick. Nil keeps
+// registration order.
+func (g *Gate) readHome(id string, candidates []*Replica) *Replica {
+	if g.ledger != nil {
+		if run, ok := g.ledger.Run(id); ok {
+			for _, rep := range candidates {
+				if rep.Name == run.Backend {
+					return rep
+				}
+			}
+		}
+	}
+	if a, ok := g.router.(*affinity); ok {
+		return a.Pick(RouteContext{RunID: id}, candidates)
+	}
+	return nil
 }
 
 // clusterRun is one run in the gate's merged listing: the backend name

@@ -12,7 +12,7 @@ var latencyBounds = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 5, 25, 100, 500}
 
 // metrics is the gate's obs.Registry adapter. Every labeled family is
 // bounded: "class" by the normalized SLO vocabulary, "policy" by the
-// three routing policy constants, and "backend" by the replica
+// two routing policy constants, and "backend" by the replica
 // registry's fixed name set (gate.Replica.Name — sanctioned in the
 // metriclabels analyzer). All label values reach With through
 // unexported helpers whose call sites pass constants or Replica.Name,
@@ -181,14 +181,12 @@ func (m *metrics) incRejected(scope string) {
 func (m *metrics) rejectedInc(scope string) { m.rejected.With(scope).Inc() }
 
 // incRouted counts one forward, by policy and backend. Policy values
-// are normalized onto the three constants; backend comes from the
+// are normalized onto the two constants; backend comes from the
 // registry's fixed name set.
 func (m *metrics) incRouted(policy, backend string) {
 	switch policy {
 	case PolicyRoundRobin:
 		m.routedInc(PolicyRoundRobin, backend)
-	case PolicyLeastLoaded:
-		m.routedInc(PolicyLeastLoaded, backend)
 	case PolicyCacheAffinity:
 		m.routedInc(PolicyCacheAffinity, backend)
 	}

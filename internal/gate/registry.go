@@ -40,7 +40,7 @@ func (r *Replica) Healthy() bool {
 }
 
 // InFlight is the number of gate requests currently forwarded to this
-// replica (the least-loaded router's signal).
+// replica (the in-flight gauge and the status JSON report it).
 func (r *Replica) InFlight() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -385,10 +386,11 @@ func TestMarkDownHysteresis(t *testing.T) {
 // readBackend is a fake replica that holds at most one run, owned (""
 // holds none): GET /v1/runs/{id}, DELETE and /profile answer 200 for
 // that ID and the replica's own 404 body, naming it, for any other.
-func readBackend(t *testing.T, name, owned string) *httptest.Server {
+func readBackend(t *testing.T, name, owned string, asked *askLog) *httptest.Server {
 	t.Helper()
 	answer := func(body string) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
+			asked.add(name)
 			w.Header().Set("Content-Type", "application/json")
 			if id := r.PathValue("id"); id != owned {
 				w.WriteHeader(http.StatusNotFound)
@@ -410,11 +412,35 @@ func readBackend(t *testing.T, name, owned string) *httptest.Server {
 	return ts
 }
 
+// askLog records, in order, the fake replicas that per-run reads
+// reached. A nil log records nothing.
+type askLog struct {
+	mu    sync.Mutex
+	names []string
+}
+
+func (l *askLog) add(name string) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.names = append(l.names, name)
+}
+
+func (l *askLog) get() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.names...)
+}
+
 // TestReadFindsRunOnLaterReplica pins the read walk past the first
 // candidate: a run held only by the second replica is found whether the
 // first answers 404 or dies on the wire, and when nobody holds it a
 // backend's own 404 body is relayed. Round-robin keeps b0 first, so
-// the owner is never tried first.
+// the owner is never tried first. A run the intake ledger routed to a
+// backend other than its affinity home is read from that backend
+// alone, though every replica would answer.
 func TestReadFindsRunOnLaterReplica(t *testing.T) {
 	reads := []struct{ name, method, suffix, want string }{
 		{"get", http.MethodGet, "", `"status":"done"`},
@@ -445,23 +471,58 @@ func TestReadFindsRunOnLaterReplica(t *testing.T) {
 			}
 
 			// The primary answers 404 at once; b1 owns the run.
-			_, rec := read(readBackend(t, "b0", "").URL, readBackend(t, "b1", "r-owned").URL)
+			_, rec := read(readBackend(t, "b0", "", nil).URL, readBackend(t, "b1", "r-owned", nil).URL)
 			found(rec)
 
 			// The primary's listener is closed: the transport error marks
 			// it down and the walk goes on to b1.
-			dead := readBackend(t, "b0", "r-owned")
+			dead := readBackend(t, "b0", "r-owned", nil)
 			dead.Close()
-			g, rec := read(dead.URL, readBackend(t, "b1", "r-owned").URL)
+			g, rec := read(dead.URL, readBackend(t, "b1", "r-owned", nil).URL)
 			found(rec)
 			if g.Registry().All()[0].Healthy() {
 				t.Fatal("b0 still healthy after a transport error")
 			}
 
 			// Nobody owns the run: a backend's own 404 body is relayed.
-			_, rec = read(readBackend(t, "b0", "").URL, readBackend(t, "b1", "").URL)
+			_, rec = read(readBackend(t, "b0", "", nil).URL, readBackend(t, "b1", "", nil).URL)
 			if rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), "unknown run r-owned") {
 				t.Fatalf("status %d body %s, want the backend's 404", rec.Code, rec.Body.String())
+			}
+
+			// The ledger routed the run away from its ring home: the
+			// recorded backend is asked first, and no other replica is.
+			var asked askLog
+			g = mustGate(t, Config{
+				Backends: []string{
+					readBackend(t, "b0", "r-owned", &asked).URL,
+					readBackend(t, "b1", "r-owned", &asked).URL,
+					readBackend(t, "b2", "r-owned", &asked).URL,
+				},
+				Policy:            PolicyCacheAffinity,
+				Seed:              1,
+				ProbeInterval:     -1,
+				DataDir:           t.TempDir(),
+				ReconcileInterval: -1,
+			})
+			reps := g.Registry().All()
+			recorded := reps[0]
+			if home := g.router.Pick(RouteContext{RunID: "r-owned"}, reps); home == recorded {
+				recorded = reps[1]
+			}
+			if err := g.Ledger().Admitted("r-owned", "table1", json.RawMessage(`{}`), "batch", 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Ledger().Routed("r-owned", recorded.Name); err != nil {
+				t.Fatal(err)
+			}
+			rec = httptest.NewRecorder()
+			g.Handler().ServeHTTP(rec, httptest.NewRequest(rd.method, "/v1/runs/r-owned"+rd.suffix, nil))
+			if rec.Code != http.StatusOK || rec.Header().Get(BackendHeader) != recorded.Name {
+				t.Fatalf("status %d from %q, want 200 from the recorded %s", rec.Code, rec.Header().Get(BackendHeader), recorded.Name)
+			}
+			if got := asked.get(); len(got) != 1 || got[0] != recorded.Name {
+				t.Fatalf("replicas asked %v, want only the recorded %s", got, recorded.Name)
 			}
 		})
 	}

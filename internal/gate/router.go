@@ -14,10 +14,6 @@ const (
 	// index = request sequence mod healthy count. It is a pure function
 	// of the request sequence, ignoring load and content.
 	PolicyRoundRobin = "round-robin"
-	// PolicyLeastLoaded picks the healthy replica with the fewest
-	// gate-tracked in-flight requests (ties break to the lowest
-	// replica index), approximating join-shortest-queue.
-	PolicyLeastLoaded = "least-loaded"
 	// PolicyCacheAffinity consistent-hashes the content-addressed
 	// RunID onto a fixed ring of replica virtual nodes, so repeat
 	// submissions of the same experiment+options always land on the
@@ -28,7 +24,7 @@ const (
 
 // Policies lists the routing policies in documentation order.
 func Policies() []string {
-	return []string{PolicyRoundRobin, PolicyLeastLoaded, PolicyCacheAffinity}
+	return []string{PolicyRoundRobin, PolicyCacheAffinity}
 }
 
 // RouteContext is the routing input for one submission.
@@ -44,8 +40,8 @@ type RouteContext struct {
 // Router picks a backend for a submission. Pick is called with a
 // non-empty candidate slice in registration order; on failover the
 // dead replica is removed from the candidates and Pick runs again.
-// Implementations must be deterministic: the same (rc, candidates,
-// in-flight state) always picks the same replica.
+// Implementations must be deterministic: the same (rc, candidates)
+// always picks the same replica.
 type Router interface {
 	// Policy is the router's policy name (one of the Policy constants).
 	Policy() string
@@ -60,13 +56,11 @@ func NewRouter(policy string, replicas []*Replica) (Router, error) {
 	switch policy {
 	case PolicyRoundRobin:
 		return roundRobin{}, nil
-	case PolicyLeastLoaded:
-		return leastLoaded{}, nil
 	case PolicyCacheAffinity:
 		return newAffinity(replicas), nil
 	}
-	return nil, fmt.Errorf("gate: unknown routing policy %q (valid: %s, %s, %s)",
-		policy, PolicyRoundRobin, PolicyLeastLoaded, PolicyCacheAffinity)
+	return nil, fmt.Errorf("gate: unknown routing policy %q (valid: %s, %s)",
+		policy, PolicyRoundRobin, PolicyCacheAffinity)
 }
 
 type roundRobin struct{}
@@ -75,21 +69,6 @@ func (roundRobin) Policy() string { return PolicyRoundRobin }
 
 func (roundRobin) Pick(rc RouteContext, candidates []*Replica) *Replica {
 	return candidates[rc.Seq%uint64(len(candidates))]
-}
-
-type leastLoaded struct{}
-
-func (leastLoaded) Policy() string { return PolicyLeastLoaded }
-
-func (leastLoaded) Pick(rc RouteContext, candidates []*Replica) *Replica {
-	best := candidates[0]
-	bestLoad := best.InFlight()
-	for _, r := range candidates[1:] {
-		if load := r.InFlight(); load < bestLoad {
-			best, bestLoad = r, load
-		}
-	}
-	return best
 }
 
 // vnodesPerReplica is the virtual-node count per replica on the

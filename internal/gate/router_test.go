@@ -7,7 +7,7 @@ import (
 )
 
 // testReplicas builds an n-replica registry without touching the
-// network (routers never dial; they only look at names and in-flight).
+// network (routers never dial; they only look at names).
 func testReplicas(t *testing.T, n int) []*Replica {
 	t.Helper()
 	urls := make([]string, n)
@@ -19,22 +19,6 @@ func testReplicas(t *testing.T, n int) []*Replica {
 		t.Fatal(err)
 	}
 	return reg.All()
-}
-
-func TestLeastLoadedPicksEmptiest(t *testing.T) {
-	reps := testReplicas(t, 3)
-	r, _ := NewRouter(PolicyLeastLoaded, reps)
-	reps[0].addInFlight(2)
-	reps[1].addInFlight(1)
-	reps[2].addInFlight(3)
-	if got := r.Pick(RouteContext{}, reps); got != reps[1] {
-		t.Fatalf("want b1 (lowest load), got %s", got.Name)
-	}
-	// Ties break to the lowest index for determinism.
-	reps[1].addInFlight(1)
-	if got := r.Pick(RouteContext{}, reps); got != reps[0] {
-		t.Fatalf("want b0 on tie, got %s", got.Name)
-	}
 }
 
 // TestAffinityConsistency is the consistent-hashing property: removing

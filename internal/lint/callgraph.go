@@ -132,8 +132,7 @@ func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // pkgQualifiedCallee resolves a call of the form pkg.Fn to (package
-// path, function name) using the given type info — the Package-free
-// counterpart of stdlibCallee for module analyzers.
+// path, function name).
 func pkgQualifiedCallee(info *types.Info, call *ast.CallExpr) (string, string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {

@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// This file is the per-function control-flow layer the interprocedural
-// analyzers (lockorder, gorolifetime, detertaint) are built on: a
+// This file is the per-function control-flow layer the flow-sensitive
+// analyzers (lockorder, lockdiscipline, gorolifetime) are built on: a
 // statement-granular CFG with an artificial exit block. The builder is
 // deliberately syntactic — it needs type information only to recognize
 // calls that terminate the goroutine (panic, os.Exit, runtime.Goexit,
@@ -294,6 +294,10 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *Block) *Block {
 		}
 		// A select{} with no cases blocks forever: cur gets no
 		// successor, so after (and everything behind it) is unreachable.
+		// Having no nested statements, it is a node of cur itself.
+		if len(s.Body.List) == 0 {
+			cur.Nodes = append(cur.Nodes, s)
+		}
 		b.scopes = b.scopes[:len(b.scopes)-1]
 		return after
 

@@ -47,7 +47,7 @@ func runCtxHygiene(p *Pass) {
 				stack = stack[:len(stack)-1]
 				return false
 			case *ast.CallExpr:
-				pkg, name, ok := stdlibCallee(p, n)
+				pkg, name, ok := pkgQualifiedCallee(p.Info, n)
 				if !ok || pkg != "context" {
 					return true
 				}

@@ -4,11 +4,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // DeterminismAnalyzer enforces the reproducibility contract of the
 // simulation and codec packages: identical options must produce
-// byte-identical reports, traces and journals. It reports
+// byte-identical reports, traces and journals. It reports each source
+// of the nondeterminism model detertaint tracks where it occurs:
 //
 //   - wall-clock reads (time.Now/Since/Until) — simulated time is the
 //     only clock those packages may consult;
@@ -17,7 +19,7 @@ import (
 //     a run is a pure function of its options;
 //   - map iteration whose order leaks into output: appending map keys
 //     or values to a slice that is never sorted afterwards, writing or
-//     formatting inside the loop, or accumulating floating-point sums
+//     printing inside the loop, or accumulating floating-point sums
 //     (float addition is not associative, so map order changes the
 //     result bits).
 var DeterminismAnalyzer = &Analyzer{
@@ -29,83 +31,33 @@ var DeterminismAnalyzer = &Analyzer{
 		"internal/faults", "internal/bench", "internal/store"),
 }
 
-// seededConstructors are the math/rand entry points that build an
-// explicitly seeded generator — the sanctioned way to use randomness.
-var seededConstructors = map[string]bool{
-	"New": true, "NewSource": true, "NewPCG": true, "NewChaCha8": true, "NewZipf": true,
-}
-
 func runDeterminism(p *Pass) {
 	for _, f := range p.Files {
-		for _, fn := range functionsIn(f) {
-			body := fn.body
-			ast.Inspect(body, func(n ast.Node) bool {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			// Function literals are walked as part of their enclosing
+			// declaration.
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.CallExpr:
-					checkNondeterministicCall(p, n)
+					switch kind, name := nondetSource(p.Info, n); kind {
+					case taintClock:
+						p.Reportf(n.Pos(), "time.%s reads the wall clock; simulation and codec code must be a pure function of its inputs (thread timestamps in explicitly)", name)
+					case taintRand:
+						p.Reportf(n.Pos(), "global rand.%s is seeded process-wide; use a local generator from rand.New so the result is reproducible from the run's seed", name)
+					}
 				case *ast.RangeStmt:
-					if _, ok := p.Info.Types[n.X].Type.Underlying().(*types.Map); ok {
-						checkMapRange(p, body, n)
+					if mapRange(p.Info, n) {
+						checkMapRange(p, fd.Body, n)
 					}
 				}
 				return true
 			})
 		}
 	}
-}
-
-// fnBody pairs a function-ish node with its body for walkers that need
-// the enclosing scope.
-type fnBody struct {
-	body *ast.BlockStmt
-}
-
-// functionsIn yields every function declaration body in the file.
-// Function literals are walked as part of their enclosing declaration.
-func functionsIn(f *ast.File) []fnBody {
-	var out []fnBody
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-			out = append(out, fnBody{body: fd.Body})
-		}
-	}
-	return out
-}
-
-func checkNondeterministicCall(p *Pass, call *ast.CallExpr) {
-	pkgPath, name, ok := stdlibCallee(p, call)
-	if !ok {
-		return
-	}
-	switch pkgPath {
-	case "time":
-		switch name {
-		case "Now", "Since", "Until":
-			p.Reportf(call.Pos(), "time.%s reads the wall clock; simulation and codec code must be a pure function of its inputs (thread timestamps in explicitly)", name)
-		}
-	case "math/rand", "math/rand/v2":
-		if !seededConstructors[name] {
-			p.Reportf(call.Pos(), "global rand.%s is seeded process-wide; use a local generator from rand.New so the result is reproducible from the run's seed", name)
-		}
-	}
-}
-
-// stdlibCallee resolves a call of the form pkg.Fn to (package path,
-// function name).
-func stdlibCallee(p *Pass, call *ast.CallExpr) (string, string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", "", false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", "", false
-	}
-	pn, ok := p.Info.Uses[id].(*types.PkgName)
-	if !ok {
-		return "", "", false
-	}
-	return pn.Imported().Path(), sel.Sel.Name, true
 }
 
 // checkMapRange flags order-sensitive sinks inside a range over a map.
@@ -118,14 +70,10 @@ func checkMapRange(p *Pass, enclosing *ast.BlockStmt, rng *ast.RangeStmt) {
 		case *ast.AssignStmt:
 			checkMapRangeAssign(p, enclosing, rng, n)
 		case *ast.CallExpr:
-			if pkg, name, ok := stdlibCallee(p, n); ok && pkg == "fmt" &&
-				(name == "Fprint" || name == "Fprintf" || name == "Fprintln" ||
-					name == "Print" || name == "Printf" || name == "Println") {
-				p.Reportf(n.Pos(), "fmt.%s inside map iteration emits output in map order, which differs between runs; iterate sorted keys instead", name)
-				return true
-			}
-			if _, mname, ok := methodCallee(p, n); ok && isWriterMethod(mname) {
-				p.Reportf(n.Pos(), "%s inside map iteration writes in map order, which differs between runs; iterate sorted keys instead", mname)
+			if pkg, name, ok := outputCall(p.Info, n); ok && pkg != "" {
+				p.Reportf(n.Pos(), "%s.%s inside map iteration emits output in map order, which differs between runs; iterate sorted keys instead", pkg, name)
+			} else if ok {
+				p.Reportf(n.Pos(), "%s inside map iteration writes in map order, which differs between runs; iterate sorted keys instead", name)
 			}
 		}
 		return true
@@ -137,11 +85,9 @@ func checkMapRange(p *Pass, enclosing *ast.BlockStmt, rng *ast.RangeStmt) {
 // loop) and floating-point op-assign accumulation.
 func checkMapRangeAssign(p *Pass, enclosing *ast.BlockStmt, rng *ast.RangeStmt, as *ast.AssignStmt) {
 	// x op= v with a float target declared outside the loop.
-	if as.Tok == token.ADD_ASSIGN || as.Tok == token.SUB_ASSIGN || as.Tok == token.MUL_ASSIGN || as.Tok == token.QUO_ASSIGN {
-		if len(as.Lhs) == 1 {
-			if obj := outerObject(p, as.Lhs[0], rng); obj != nil && isFloat(obj.Type()) {
-				p.Reportf(as.Pos(), "floating-point accumulation of %s in map iteration order is not associative and changes result bits between runs; accumulate over sorted keys", obj.Name())
-			}
+	if floatAccum(p.Info, as) {
+		if obj := outerObject(p, as.Lhs[0], rng); obj != nil {
+			p.Reportf(as.Pos(), "floating-point accumulation of %s in map iteration order is not associative and changes result bits between runs; accumulate over sorted keys", obj.Name())
 		}
 		return
 	}
@@ -194,79 +140,118 @@ func isBuiltinAppend(p *Pass, call *ast.CallExpr) bool {
 	return ok && b.Name() == "append"
 }
 
-func isFloat(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
-}
-
-// sortedAfter reports whether obj is passed to a sort.* or slices.*
-// call after the range statement within the enclosing function body —
-// the canonical collect-then-sort pattern.
+// sortedAfter reports whether a call after the range statement within
+// the enclosing function body sorts obj — the canonical
+// collect-then-sort pattern.
 func sortedAfter(p *Pass, enclosing *ast.BlockStmt, rng *ast.RangeStmt, obj types.Object) bool {
 	found := false
 	ast.Inspect(enclosing, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < rng.End() {
-			return true
-		}
-		pkg, _, ok := stdlibCallee(p, call)
-		if !ok || (pkg != "sort" && pkg != "slices") {
-			return true
-		}
-		for _, arg := range call.Args {
-			ast.Inspect(arg, func(an ast.Node) bool {
-				if id, ok := an.(*ast.Ident); ok && p.Info.Uses[id] == obj {
-					found = true
-				}
-				return !found
-			})
+		if call, ok := n.(*ast.CallExpr); ok && call.Pos() >= rng.End() && slices.Contains(sortedObjects(p.Info, call), obj) {
+			found = true
 		}
 		return !found
 	})
 	return found
 }
 
-// methodCallee resolves a method call to (receiver type, method name).
-func methodCallee(p *Pass, call *ast.CallExpr) (types.Type, string, bool) {
+// The nondeterminism source model. determinism reports these shapes
+// where they occur; detertaint starts taint at the sources, clears
+// map order where it is sorted away, and keeps it through float
+// accumulation.
+
+// seededConstructors are the math/rand entry points that build an
+// explicitly seeded generator — the sanctioned way to use randomness.
+var seededConstructors = map[string]bool{
+	"New": true, "NewSource": true, "NewPCG": true, "NewChaCha8": true, "NewZipf": true,
+}
+
+// nondetSource classifies a call as a wall-clock read
+// (time.Now/Since/Until: taintClock) or a draw from the process-global
+// math/rand or math/rand/v2 generator (taintRand), returning the kind
+// ("" for neither) and the function's name.
+func nondetSource(info *types.Info, call *ast.CallExpr) (string, string) {
+	pkg, name, ok := pkgQualifiedCallee(info, call)
+	switch {
+	case !ok:
+	case pkg == "time" && (name == "Now" || name == "Since" || name == "Until"):
+		return taintClock, name
+	case (pkg == "math/rand" || pkg == "math/rand/v2") && !seededConstructors[name]:
+		return taintRand, name
+	}
+	return "", ""
+}
+
+// mapRange reports whether rng ranges over a map, whose iteration
+// order differs between runs.
+func mapRange(info *types.Info, rng *ast.RangeStmt) bool {
+	t := info.TypeOf(rng.X)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+// sortedObjects returns the variables a sort.* or slices.* call names
+// in its arguments (nil for any other call): collect-then-sort orders
+// them, which clears map iteration order. Every entry point of the two
+// packages counts.
+func sortedObjects(info *types.Info, call *ast.CallExpr) []types.Object {
+	pkg, _, ok := pkgQualifiedCallee(info, call)
+	if !ok || (pkg != "sort" && pkg != "slices") {
+		return nil
+	}
+	var objs []types.Object
+	for _, arg := range call.Args {
+		ast.Inspect(arg, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && info.Uses[id] != nil {
+				objs = append(objs, info.Uses[id])
+			}
+			return true
+		})
+	}
+	return objs
+}
+
+// floatAccum matches x op= v on a floating-point x: float arithmetic is
+// not associative, so the order of the operands (map order, in a map
+// range) reaches the result bits. Integer accumulation commutes.
+func floatAccum(info *types.Info, as *ast.AssignStmt) bool {
+	if as.Tok == token.ASSIGN || as.Tok == token.DEFINE || len(as.Lhs) != 1 {
+		return false
+	}
+	t := info.TypeOf(as.Lhs[0])
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
+}
+
+// outputCall matches the calls whose order is the order of the output
+// they produce: the fmt print functions (Print, Printf, Println and
+// the Fprint forms), the log ones (Print, Printf, Println), and the
+// io-writer methods Write, WriteString, WriteByte and WriteRune. It
+// returns the package path ("" for a method) and the name.
+func outputCall(info *types.Info, call *ast.CallExpr) (string, string, bool) {
+	if pkg, name, ok := pkgQualifiedCallee(info, call); ok {
+		switch {
+		case (pkg == "fmt" || pkg == "log") && (name == "Print" || name == "Printf" || name == "Println"),
+			pkg == "fmt" && (name == "Fprint" || name == "Fprintf" || name == "Fprintln"):
+			return pkg, name, true
+		}
+		return "", "", false
+	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return nil, "", false
+		return "", "", false
 	}
-	s, ok := p.Info.Selections[sel]
-	if !ok || s.Kind() != types.MethodVal {
-		return nil, "", false
+	if s, ok := info.Selections[sel]; !ok || s.Kind() != types.MethodVal {
+		return "", "", false
 	}
-	return s.Recv(), sel.Sel.Name, true
-}
-
-// isWriterMethod matches the io-writer method names whose call order
-// is observable in the output stream.
-func isWriterMethod(name string) bool {
-	switch name {
+	switch sel.Sel.Name {
 	case "Write", "WriteString", "WriteByte", "WriteRune":
-		return true
+		return "", sel.Sel.Name, true
 	}
-	return false
-}
-
-// infallibleWriter reports whether t is a strings.Builder or
-// bytes.Buffer (possibly behind a pointer) — in-memory writers used in
-// this codebase for building strings that are sorted or keyed later.
-func infallibleWriter(t types.Type) bool {
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return false
-	}
-	q := obj.Pkg().Path() + "." + obj.Name()
-	return q == "strings.Builder" || q == "bytes.Buffer"
+	return "", "", false
 }

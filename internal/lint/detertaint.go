@@ -8,8 +8,9 @@ import (
 )
 
 // DeterTaintAnalyzer upgrades the determinism rules to value-level
-// dataflow taint, tracked across function boundaries. Sources are the
-// three nondeterminism wells of the serving tier: the wall clock
+// dataflow taint, tracked across function boundaries, over the same
+// source model (determinism.go). Sources are the three nondeterminism
+// wells of the serving tier: the wall clock
 // (time.Now/Since/Until), the process-global math/rand generators, and
 // map iteration order. Sinks are the places where a nondeterministic
 // value breaks a replay or a byte-identity contract: journal/ledger
@@ -21,10 +22,10 @@ import (
 // Two breaks keep the sanctioned patterns clean. Interface calls never
 // return taint: the injected-Clock pattern routes wall time through an
 // interface, so clock.Now() is deterministic by contract while a direct
-// time.Now() is not. And passing a map-order-tainted slice to a sort.*/
-// slices.* call clears that taint — collect-then-sort is the idiom this
-// codebase uses everywhere. Integer += accumulation over a map range
-// stays clean too (commutative), unlike floats.
+// time.Now() is not. And naming a map-order-tainted variable in a
+// sort.*/slices.* call clears that taint — collect-then-sort is the
+// idiom this codebase uses everywhere. Integer += accumulation over a
+// map range stays clean too (commutative), unlike floats.
 var DeterTaintAnalyzer = &Analyzer{
 	Name: "detertaint",
 	Doc: "track wall-clock, global-rand and map-iteration-order taint through " +
@@ -79,20 +80,13 @@ type taintState struct {
 	changed bool
 }
 
-// merge adds the kinds of src into dst (a lazily created objTaint or
-// retTaint entry), flagging change.
+// merge is union into a state entry (an obj or ret set), flagging a
+// change when it adds a kind.
 func (st *taintState) merge(dst taintSet, src taintSet) taintSet {
-	if len(src) == 0 {
-		return dst
-	}
-	if dst == nil {
-		dst = make(taintSet, len(src))
-	}
-	for k, pos := range src {
-		if _, ok := dst[k]; !ok {
-			dst[k] = pos
-			st.changed = true
-		}
+	n := len(dst)
+	dst = union(dst, src)
+	if len(dst) != n {
+		st.changed = true
 	}
 	return dst
 }
@@ -137,11 +131,9 @@ func (st *taintState) propagate(fi *FuncInfo) {
 		case *ast.AssignStmt:
 			st.transferAssign(fi, n)
 		case *ast.RangeStmt:
-			if tv, ok := info.Types[n.X]; ok {
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					st.taintObj(info.Defs[identOf(n.Key)], taintSet{taintMapOrder: n.Pos()})
-					st.taintObj(info.Defs[identOf(n.Value)], taintSet{taintMapOrder: n.Pos()})
-				}
+			if mapRange(info, n) {
+				st.taintObj(info.Defs[identOf(n.Key)], taintSet{taintMapOrder: n.Pos()})
+				st.taintObj(info.Defs[identOf(n.Value)], taintSet{taintMapOrder: n.Pos()})
 			}
 		case *ast.ReturnStmt:
 			st.transferReturn(fi, n)
@@ -154,17 +146,15 @@ func (st *taintState) propagate(fi *FuncInfo) {
 
 func (st *taintState) transferAssign(fi *FuncInfo, as *ast.AssignStmt) {
 	info := fi.Pkg.Info
-	// Op-assigns: merge rhs taint into the target — except integer
-	// accumulation of map-order taint, which is commutative.
+	// Op-assigns: merge rhs taint into the target — map-order taint
+	// only through float accumulation; the rest commutes.
 	if as.Tok != token.ASSIGN && as.Tok != token.DEFINE {
 		if len(as.Lhs) == 1 && len(as.Rhs) == 1 {
 			ts := st.taintOf(fi, as.Rhs[0]).clone()
-			if obj := lhsTarget(info, as.Lhs[0]); obj != nil {
-				if !isFloat(obj.Type()) {
-					delete(ts, taintMapOrder)
-				}
-				st.taintObj(obj, ts)
+			if !floatAccum(info, as) {
+				delete(ts, taintMapOrder)
 			}
+			st.taintObj(lhsTarget(info, as.Lhs[0]), ts)
 		}
 		return
 	}
@@ -208,19 +198,11 @@ func (st *taintState) transferReturn(fi *FuncInfo, ret *ast.ReturnStmt) {
 // module-internal callees, and applies the collect-then-sort kill.
 func (st *taintState) transferCall(fi *FuncInfo, call *ast.CallExpr) {
 	info := fi.Pkg.Info
-	if pkg, name, ok := pkgQualifiedCallee(info, call); ok && (pkg == "sort" || pkg == "slices") {
-		_ = name // every sort/slices entry point counts as ordering the arg
-		for _, arg := range call.Args {
-			if obj := rootObject(info, arg); obj != nil {
-				if ts := st.obj[obj]; ts != nil {
-					if _, ok := ts[taintMapOrder]; ok {
-						delete(ts, taintMapOrder)
-						st.changed = true
-					}
-				}
-			}
+	for _, obj := range sortedObjects(info, call) {
+		if _, ok := st.obj[obj][taintMapOrder]; ok {
+			delete(st.obj[obj], taintMapOrder)
+			st.changed = true
 		}
-		return
 	}
 	callee := st.m.FuncInfo(StaticCallee(info, call))
 	if callee == nil {
@@ -313,20 +295,8 @@ func (st *taintState) taintOf(fi *FuncInfo, e ast.Expr) taintSet {
 func (st *taintState) taintOfCall(fi *FuncInfo, call *ast.CallExpr) taintSet {
 	info := fi.Pkg.Info
 
-	// Sources.
-	if pkg, name, ok := pkgQualifiedCallee(info, call); ok {
-		switch pkg {
-		case "time":
-			switch name {
-			case "Now", "Since", "Until":
-				return taintSet{taintClock: call.Pos()}
-			}
-		case "math/rand", "math/rand/v2":
-			if !seededConstructors[name] {
-				return taintSet{taintRand: call.Pos()}
-			}
-			return nil
-		}
+	if kind, _ := nondetSource(info, call); kind != "" {
+		return taintSet{kind: call.Pos()}
 	}
 
 	// Builtins: len/cap and friends are deterministic even on maps;
@@ -447,13 +417,10 @@ func (st *taintState) reportSinks(p *ModulePass, fi *FuncInfo) {
 			return true
 		}
 		// Stdlib log lines are decision/event output.
-		if pkg, name, ok := pkgQualifiedCallee(info, call); ok && pkg == "log" {
-			switch name {
-			case "Print", "Printf", "Println":
-				for _, arg := range call.Args {
-					if ts := st.taintOf(fi, arg); len(ts) > 0 {
-						report(call.Pos(), ts, "an event-log line")
-					}
+		if pkg, _, _ := outputCall(info, call); pkg == "log" {
+			for _, arg := range call.Args {
+				if ts := st.taintOf(fi, arg); len(ts) > 0 {
+					report(call.Pos(), ts, "an event-log line")
 				}
 			}
 			return true
@@ -463,14 +430,14 @@ func (st *taintState) reportSinks(p *ModulePass, fi *FuncInfo) {
 			return true
 		}
 		if rule.recvSink {
-			ts := union(st.taintOf(fi, sel.X).clone(), st.structFieldTaints(typeOf(info, sel.X)))
+			ts := union(st.taintOf(fi, sel.X).clone(), st.structFieldTaints(info.TypeOf(sel.X)))
 			if len(ts) > 0 {
 				report(call.Pos(), ts, rule.what)
 			}
 			return true
 		}
 		for _, arg := range call.Args {
-			ts := union(st.taintOf(fi, arg).clone(), st.structFieldTaints(typeOf(info, arg)))
+			ts := union(st.taintOf(fi, arg).clone(), st.structFieldTaints(info.TypeOf(arg)))
 			if len(ts) > 0 {
 				report(call.Pos(), ts, rule.what)
 			}
@@ -505,14 +472,6 @@ func (st *taintState) matchSink(info *types.Info, call *ast.CallExpr) (sinkRule,
 		}
 	}
 	return sinkRule{}, nil, false
-}
-
-// typeOf is info.Types[e].Type, nil when untracked.
-func typeOf(info *types.Info, e ast.Expr) types.Type {
-	if tv, ok := info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
 }
 
 // lhsTarget resolves an assignment target to the object that receives

@@ -58,7 +58,7 @@ func discardedWrite(p *Pass, call *ast.CallExpr) (string, bool) {
 	if !returnsError(p, call) {
 		return "", false
 	}
-	if pkg, name, ok := stdlibCallee(p, call); ok && pkg == "fmt" &&
+	if pkg, name, ok := pkgQualifiedCallee(p.Info, call); ok && pkg == "fmt" &&
 		(name == "Fprint" || name == "Fprintf" || name == "Fprintln") {
 		if len(call.Args) > 0 && infallibleWriter(p.Info.Types[call.Args[0]].Type) {
 			return "", false
@@ -97,3 +97,35 @@ func returnsError(p *Pass, call *ast.CallExpr) bool {
 var errorInterface = types.Universe.Lookup("error").Type()
 
 func isErrorType(t types.Type) bool { return types.Identical(t, errorInterface) }
+
+// methodCallee resolves a method call to (receiver type, method name).
+func methodCallee(p *Pass, call *ast.CallExpr) (types.Type, string, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return nil, "", false
+	}
+	s, ok := p.Info.Selections[sel]
+	if !ok || s.Kind() != types.MethodVal {
+		return nil, "", false
+	}
+	return s.Recv(), sel.Sel.Name, true
+}
+
+// infallibleWriter reports whether t is a strings.Builder or
+// bytes.Buffer (possibly behind a pointer) — in-memory writers used in
+// this codebase for building strings that are sorted or keyed later.
+func infallibleWriter(t types.Type) bool {
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	if obj.Pkg() == nil {
+		return false
+	}
+	q := obj.Pkg().Path() + "." + obj.Name()
+	return q == "strings.Builder" || q == "bytes.Buffer"
+}

@@ -4,18 +4,21 @@ import (
 	"go/ast"
 	"go/printer"
 	"go/token"
-	"go/types"
 	"strings"
 )
 
 // LockDisciplineAnalyzer flags operations that can block indefinitely
-// while a sync.Mutex or sync.RWMutex is held: channel sends and
+// while a sync.Mutex or sync.RWMutex may be held: channel sends and
 // receives, selects without a default case, sync.WaitGroup.Wait and
 // time.Sleep. In the serving layer a blocked lock holder stalls every
 // handler behind it; the rule there is "compute under the lock, never
-// wait under it". Non-blocking channel attempts (select with a default
-// case) are allowed, and function literals are analyzed as their own
-// functions — a goroutine launched under a lock does not inherit it.
+// wait under it". Held means held on some path through the function:
+// the analyzer reads the may-held lock walk lockorder runs over the
+// CFG, so an Unlock on an early-return branch does not end the hold on
+// the path that falls through. Non-blocking channel attempts (select
+// with a default case) are allowed, and function literals are analyzed
+// as their own functions — a goroutine launched under a lock does not
+// inherit it.
 var LockDisciplineAnalyzer = &Analyzer{
 	Name: "lockdiscipline",
 	Doc: "forbid blocking channel operations, WaitGroup.Wait and time.Sleep " +
@@ -27,203 +30,31 @@ var LockDisciplineAnalyzer = &Analyzer{
 func runLockDiscipline(p *Pass) {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
+			var body *ast.BlockStmt
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				if n.Body != nil {
-					checkLockRegions(p, n.Body)
-				}
+				body = n.Body
 			case *ast.FuncLit:
-				checkLockRegions(p, n.Body)
+				body = n.Body
 			}
+			if body == nil {
+				return true
+			}
+			walkHeld(nil, p.Package, "", body, func(ev lockEvent, held map[lockHold]lockAcq) {
+				if ev.blocks == "" || len(held) == 0 {
+					return
+				}
+				var first lockAcq // the earliest acquisition still held
+				for _, h := range held {
+					if !first.pos.IsValid() || h.pos < first.pos {
+						first = h
+					}
+				}
+				p.Reportf(ev.pos, "%s while %s is held (locked at %s) can block the lock holder indefinitely; move the wait outside the critical section", ev.blocks, first.recv, p.Fset.Position(first.pos))
+			})
 			return true
 		})
 	}
-}
-
-// lockRegion is a source interval during which a mutex is held: from a
-// Lock call to the next Unlock on the same receiver expression, or to
-// the end of the function when the unlock is deferred (or missing).
-type lockRegion struct {
-	recv       string
-	start, end token.Pos
-}
-
-// checkLockRegions analyzes a single function body. Nested function
-// literals are skipped — they run on their own goroutine or at defer
-// time, where the lexical lock state does not apply; they are visited
-// separately by the file walk.
-func checkLockRegions(p *Pass, body *ast.BlockStmt) {
-	type lockEvent struct {
-		recv   string
-		pos    token.Pos
-		unlock bool
-	}
-	var events []lockEvent
-	deferred := make(map[string]bool)
-
-	walkSameFunc(body, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.ExprStmt:
-			if call, ok := n.X.(*ast.CallExpr); ok {
-				if recv, name, ok := syncMethod(p, call); ok {
-					switch name {
-					case "Lock", "RLock":
-						events = append(events, lockEvent{recv: recv, pos: call.Pos()})
-					case "Unlock", "RUnlock":
-						events = append(events, lockEvent{recv: recv, pos: call.Pos(), unlock: true})
-					}
-				}
-			}
-		case *ast.DeferStmt:
-			if recv, name, ok := syncMethod(p, n.Call); ok && (name == "Unlock" || name == "RUnlock") {
-				deferred[recv] = true
-			}
-		}
-	})
-
-	var regions []lockRegion
-	for i, ev := range events {
-		if ev.unlock {
-			continue
-		}
-		end := body.End()
-		if !deferred[ev.recv] {
-			for _, later := range events[i+1:] {
-				if later.unlock && later.recv == ev.recv {
-					end = later.pos
-					break
-				}
-			}
-		}
-		regions = append(regions, lockRegion{recv: ev.recv, start: ev.pos, end: end})
-	}
-	if len(regions) == 0 {
-		return
-	}
-
-	held := func(pos token.Pos) (lockRegion, bool) {
-		for _, r := range regions {
-			if pos > r.start && pos < r.end {
-				return r, true
-			}
-		}
-		return lockRegion{}, false
-	}
-	report := func(pos token.Pos, what string) {
-		if r, ok := held(pos); ok {
-			p.Reportf(pos, "%s while %s is held (locked at %s) can block the lock holder indefinitely; move the wait outside the critical section", what, r.recv, p.Fset.Position(r.start))
-		}
-	}
-
-	walkBlocking(body, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.SendStmt:
-			report(n.Pos(), "channel send")
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				report(n.Pos(), "channel receive")
-			}
-		case *ast.SelectStmt:
-			report(n.Pos(), "select without a default case")
-		case *ast.CallExpr:
-			if _, name, ok := syncMethod(p, n); ok && name == "Wait" {
-				report(n.Pos(), "sync.WaitGroup.Wait")
-			}
-			if pkg, name, ok := stdlibCallee(p, n); ok && pkg == "time" && name == "Sleep" {
-				report(n.Pos(), "time.Sleep")
-			}
-		}
-	})
-}
-
-// walkSameFunc visits nodes of a function body without descending into
-// nested function literals.
-func walkSameFunc(body *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			visit(n)
-		}
-		return true
-	})
-}
-
-// walkBlocking visits potentially blocking nodes of a function body,
-// skipping nested function literals and the guarded operations of a
-// select that has a default case (those are non-blocking attempts).
-// The bodies of select cases are still visited: they execute with the
-// lock still held.
-func walkBlocking(body *ast.BlockStmt, visit func(ast.Node)) {
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.SelectStmt:
-				nonBlocking := false
-				for _, c := range n.Body.List {
-					if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-						nonBlocking = true
-					}
-				}
-				if !nonBlocking {
-					visit(n)
-				}
-				// Either way the comm clauses themselves are settled by
-				// the select; only the case bodies run afterwards.
-				for _, c := range n.Body.List {
-					if cc, ok := c.(*ast.CommClause); ok {
-						for _, st := range cc.Body {
-							walk(st)
-						}
-					}
-				}
-				return false
-			default:
-				if n != nil {
-					visit(n)
-				}
-				return true
-			}
-		})
-	}
-	walk(body)
-}
-
-// syncMethod resolves a call to a method declared in package sync,
-// with the receiver restricted to Mutex/RWMutex/WaitGroup, returning
-// the printed receiver expression and method name. Embedded mutexes
-// resolve too: the method object still belongs to sync.
-func syncMethod(p *Pass, call *ast.CallExpr) (string, string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", "", false
-	}
-	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return "", "", false
-	}
-	recvType := sig.Recv().Type()
-	if ptr, ok := recvType.(*types.Pointer); ok {
-		recvType = ptr.Elem()
-	}
-	named, ok := recvType.(*types.Named)
-	if !ok {
-		return "", "", false
-	}
-	switch named.Obj().Name() {
-	case "Mutex", "RWMutex", "WaitGroup":
-	default:
-		return "", "", false
-	}
-	return exprString(p.Fset, sel.X), sel.Sel.Name, true
 }
 
 // exprString renders an expression compactly for messages and lock

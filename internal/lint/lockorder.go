@@ -1,10 +1,12 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -19,12 +21,12 @@ import (
 // pkg.Type.embeddedField, and a local one function$name. Two fields of
 // the same key on different instances therefore conflate, so same-key
 // edges are suppressed except for a re-acquire of the identical printed
-// receiver (a guaranteed self-deadlock). The held-set analysis is a
-// may-analysis over the per-function CFG: branches do not leak holds
-// into each other, an Unlock ends the hold, and a deferred Unlock holds
-// to function exit. Function literals, go statements and defers are
-// opaque — they run outside the acquiring critical section's control
-// flow (defers run at exit, usually after the unlock they pair with).
+// receiver (a guaranteed self-deadlock). The held-set analysis is
+// walkHeld, the may-held walk over the per-function CFG that
+// lockdiscipline reads too. Function literals, go statements and
+// defers are opaque — they run outside the acquiring critical
+// section's control flow (defers run at exit, usually after the unlock
+// they pair with).
 var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc: "report cycles in the interprocedural lock-acquisition order " +
@@ -44,8 +46,9 @@ type lockAcq struct {
 // lockEvent is one ordered event inside a CFG node.
 type lockEvent struct {
 	acquire *lockAcq  // non-nil: Lock/RLock
-	release string    // non-empty: Unlock/RUnlock key
+	release lockHold  // non-zero: Unlock/RUnlock
 	call    *FuncInfo // non-nil: static module-internal call
+	blocks  string    // non-empty: an operation that can block indefinitely
 	pos     token.Pos
 }
 
@@ -283,34 +286,93 @@ func lockCycles(nodes []string, adj map[string][]string, edgeInfo map[[2]string]
 	return cycles
 }
 
-// lockOrderFacts runs the may-held dataflow over one function's CFG and
-// collects acquisitions, direct held→acquired edges and call sites with
-// their held snapshots.
+// lockOrderFacts reads one function's acquisitions, direct
+// held→acquired edges and call sites (with their held snapshots) off
+// the shared may-held walk.
 func lockOrderFacts(m *Module, fi *FuncInfo) *lockFacts {
 	f := &lockFacts{}
-	cfg := BuildCFG(fi.Pkg.Info, fi.Decl.Body)
 	fset := fi.Pkg.Fset
-
-	events := make(map[*Block][]lockEvent)
-	for _, blk := range cfg.Blocks {
-		for _, n := range blk.Nodes {
-			events[blk] = append(events[blk], nodeLockEvents(m, fi, n)...)
-		}
-	}
-
-	apply := func(held map[string]lockAcq, ev lockEvent) {
+	walkHeld(m, fi.Pkg, funcDisplay(fi), fi.Decl.Body, func(ev lockEvent, held map[lockHold]lockAcq) {
 		switch {
 		case ev.acquire != nil:
-			if _, ok := held[ev.acquire.key]; !ok {
-				held[ev.acquire.key] = *ev.acquire
+			a := *ev.acquire
+			f.acquires = append(f.acquires, a)
+			for _, h := range heldSnapshot(held) {
+				if h.key == a.key {
+					if h.recv != a.recv {
+						continue // same key, different instance expression
+					}
+					f.edges = append(f.edges, lockEdge{
+						from: h.key, to: a.key, pos: a.pos,
+						witness: fmt.Sprintf("%s locked at %s, then locked again at %s (self-deadlock on the same receiver)",
+							h.key, fset.Position(h.pos), fset.Position(a.pos)),
+					})
+					continue
+				}
+				f.edges = append(f.edges, lockEdge{
+					from: h.key, to: a.key, pos: a.pos,
+					witness: fmt.Sprintf("%s locked at %s, then %s acquired at %s",
+						h.key, fset.Position(h.pos), a.key, fset.Position(a.pos)),
+				})
 			}
-		case ev.release != "":
+		case ev.call != nil:
+			f.calls = append(f.calls, lockCallSite{callee: ev.call, pos: ev.pos, held: heldSnapshot(held)})
+		}
+	})
+	return f
+}
+
+// lockHold identifies one hold in walkHeld's state: the lock key (see
+// lockKeyFor) and the printed receiver it was locked through, so two
+// instances of one mutex field are held and released apart.
+type lockHold struct{ key, recv string }
+
+// heldSnapshot lists the held locks sorted by key, then receiver.
+func heldSnapshot(held map[lockHold]lockAcq) []lockAcq {
+	out := make([]lockAcq, 0, len(held))
+	for _, a := range held {
+		out = append(out, a)
+	}
+	slices.SortFunc(out, func(a, b lockAcq) int {
+		return cmp.Or(strings.Compare(a.key, b.key), strings.Compare(a.recv, b.recv))
+	})
+	return out
+}
+
+// walkHeld is the lock walker both lock analyzers share: a may-held
+// dataflow over body's CFG. Branches do not leak holds into each
+// other, an Unlock ends the hold, and a deferred Unlock holds to
+// function exit. Once the states are stable it replays every reachable
+// block in CFG order and calls visit for each event with the locks that
+// may be held just before it (visit must not modify held). Local
+// mutexes are keyed under scope; a nil m records no call events.
+func walkHeld(m *Module, pkg *Package, scope string, body *ast.BlockStmt, visit func(ev lockEvent, held map[lockHold]lockAcq)) {
+	cfg := BuildCFG(pkg.Info, body)
+	x := &eventReader{m: m, pkg: pkg, scope: scope, comms: selectComms(body)}
+	x.visit = x.inspect
+	events := make([][]lockEvent, len(cfg.Blocks))
+	for _, blk := range cfg.Blocks {
+		x.evs = nil
+		for _, n := range blk.Nodes {
+			x.node(n)
+		}
+		events[blk.Index] = x.evs
+	}
+
+	apply := func(held map[lockHold]lockAcq, ev lockEvent) {
+		switch {
+		case ev.acquire != nil:
+			h := lockHold{ev.acquire.key, ev.acquire.recv}
+			if _, ok := held[h]; !ok {
+				held[h] = *ev.acquire
+			}
+		case ev.release.key != "":
 			delete(held, ev.release)
 		}
 	}
 
 	reach := cfg.Reachable()
-	in := map[*Block]map[string]lockAcq{cfg.Entry: {}}
+	in := map[*Block]map[lockHold]lockAcq{cfg.Entry: {}}
 	for changed := true; changed; {
 		changed = false
 		for _, blk := range cfg.Blocks {
@@ -321,17 +383,17 @@ func lockOrderFacts(m *Module, fi *FuncInfo) *lockFacts {
 			if !ok {
 				continue
 			}
-			out := make(map[string]lockAcq, len(state))
+			out := make(map[lockHold]lockAcq, len(state))
 			for k, v := range state {
 				out[k] = v
 			}
-			for _, ev := range events[blk] {
+			for _, ev := range events[blk.Index] {
 				apply(out, ev)
 			}
 			for _, succ := range blk.Succs {
 				dst, ok := in[succ]
 				if !ok {
-					dst = make(map[string]lockAcq, len(out))
+					dst = make(map[lockHold]lockAcq, len(out))
 					in[succ] = dst
 					changed = true
 				}
@@ -347,123 +409,169 @@ func lockOrderFacts(m *Module, fi *FuncInfo) *lockFacts {
 		}
 	}
 
-	snapshot := func(held map[string]lockAcq) []lockAcq {
-		out := make([]lockAcq, 0, len(held))
-		for _, k := range sortedKeys(held) {
-			out = append(out, held[k])
-		}
-		return out
-	}
-
-	// Recording pass over the stable states.
 	for _, blk := range cfg.Blocks {
 		state, ok := in[blk]
 		if !ok || !reach[blk] {
 			continue
 		}
-		held := make(map[string]lockAcq, len(state))
+		held := make(map[lockHold]lockAcq, len(state))
 		for k, v := range state {
 			held[k] = v
 		}
-		for _, ev := range events[blk] {
-			switch {
-			case ev.acquire != nil:
-				a := *ev.acquire
-				f.acquires = append(f.acquires, a)
-				for _, h := range snapshot(held) {
-					if h.key == a.key {
-						if h.recv != a.recv {
-							continue // same key, different instance expression
-						}
-						f.edges = append(f.edges, lockEdge{
-							from: h.key, to: a.key, pos: a.pos,
-							witness: fmt.Sprintf("%s locked at %s, then locked again at %s (self-deadlock on the same receiver)",
-								h.key, fset.Position(h.pos), fset.Position(a.pos)),
-						})
-						continue
-					}
-					f.edges = append(f.edges, lockEdge{
-						from: h.key, to: a.key, pos: a.pos,
-						witness: fmt.Sprintf("%s locked at %s, then %s acquired at %s",
-							h.key, fset.Position(h.pos), a.key, fset.Position(a.pos)),
-					})
-				}
-			case ev.call != nil:
-				f.calls = append(f.calls, lockCallSite{callee: ev.call, pos: ev.pos, held: snapshot(held)})
-			}
+		for _, ev := range events[blk.Index] {
+			visit(ev, held)
 			apply(held, ev)
 		}
 	}
-	return f
 }
 
-// nodeLockEvents extracts the ordered lock/call events of one CFG node.
-// Defers and go statements are skipped: a deferred Unlock holds the
-// lock to exit (modeled by never releasing), and a spawned goroutine
-// does not inherit the spawner's critical section.
-func nodeLockEvents(m *Module, fi *FuncInfo, node ast.Node) []lockEvent {
-	switch node.(type) {
-	case *ast.DeferStmt, *ast.GoStmt:
-		return nil
-	}
-	var evs []lockEvent
-	ast.Inspect(node, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit, *ast.DeferStmt, *ast.GoStmt:
-			return false
-		case *ast.CallExpr:
-			if sel, name, ok := mutexMethod(fi.Pkg, n); ok {
-				key, recv := lockKeyFor(fi, sel)
-				switch name {
-				case "Lock", "RLock":
-					evs = append(evs, lockEvent{acquire: &lockAcq{key: key, recv: recv, pos: n.Pos()}, pos: n.Pos()})
-				case "Unlock", "RUnlock":
-					evs = append(evs, lockEvent{release: key, pos: n.Pos()})
-				}
-				return true
+// selectComms maps the communication statement of every select case in
+// body to token.NoPos, except that the first case of a select without a
+// default maps to the select's position: a select settles its own cases
+// (a default makes it a non-blocking attempt), so only a select with no
+// default blocks, and it is reported once.
+func selectComms(body *ast.BlockStmt) map[ast.Node]token.Pos {
+	var comms map[ast.Node]token.Pos
+	ast.Inspect(body, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectStmt)
+		if !ok {
+			return true
+		}
+		if comms == nil {
+			comms = make(map[ast.Node]token.Pos)
+		}
+		at := sel.Pos()
+		for _, c := range sel.Body.List {
+			if c.(*ast.CommClause).Comm == nil {
+				at = token.NoPos
 			}
-			if callee := m.FuncInfo(StaticCallee(fi.Pkg.Info, n)); callee != nil {
-				evs = append(evs, lockEvent{call: callee, pos: n.Pos()})
+		}
+		for _, c := range sel.Body.List {
+			if comm := c.(*ast.CommClause).Comm; comm != nil {
+				comms[comm] = at
+				at = token.NoPos
 			}
 		}
 		return true
 	})
-	return evs
+	return comms
 }
 
-// mutexMethod resolves a call to a sync.Mutex/RWMutex method (including
-// promoted methods of embedded mutexes), returning the selector.
-func mutexMethod(pkg *Package, call *ast.CallExpr) (*ast.SelectorExpr, string, bool) {
+// eventReader extracts the ordered events of the CFG nodes of one body
+// into evs.
+type eventReader struct {
+	m            *Module
+	pkg          *Package
+	scope        string
+	comms        map[ast.Node]token.Pos
+	evs          []lockEvent
+	inComm       bool                // the node is a select case's communication
+	blockingOnly bool                // inside a go or defer statement
+	visit        func(ast.Node) bool // x.inspect, bound once
+}
+
+// node appends one CFG node's events. Go and defer statements keep
+// only blocking operations: a deferred Unlock holds the lock to exit
+// (modeled by never releasing), and a deferred wait runs under it; a
+// spawned call runs on a goroutine that does not inherit the spawner's
+// critical section, but its arguments are evaluated under it.
+func (x *eventReader) node(node ast.Node) {
+	selectAt, inComm := x.comms[node]
+	x.inComm = inComm
+	switch node := node.(type) {
+	case *ast.GoStmt:
+		x.blockingOnly = true
+		for _, arg := range node.Call.Args {
+			ast.Inspect(arg, x.visit)
+		}
+		x.blockingOnly = false
+		return
+	case *ast.DeferStmt:
+		x.blockingOnly = true
+		ast.Inspect(node.Call, x.visit)
+		x.blockingOnly = false
+		return
+	}
+	if selectAt.IsValid() {
+		x.evs = append(x.evs, lockEvent{blocks: "select without a default case", pos: selectAt})
+	}
+	ast.Inspect(node, x.visit)
+}
+
+// block records an operation that can block, unless the enclosing
+// select settles it.
+func (x *eventReader) block(n ast.Node, what string) {
+	if !x.inComm {
+		x.evs = append(x.evs, lockEvent{blocks: what, pos: n.Pos()})
+	}
+}
+
+func (x *eventReader) inspect(n ast.Node) bool {
+	info := x.pkg.Info
+	switch n := n.(type) {
+	case *ast.FuncLit, *ast.DeferStmt, *ast.GoStmt:
+		return false
+	case *ast.SendStmt:
+		x.block(n, "channel send")
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW {
+			x.block(n, "channel receive")
+		}
+	case *ast.SelectStmt: // only an empty select{} is a CFG node
+		x.block(n, "select without a default case")
+	case *ast.CallExpr:
+		if sel, typ := syncCall(info, n); sel != nil {
+			switch {
+			case typ == "WaitGroup" && sel.Sel.Name == "Wait":
+				x.block(n, "sync.WaitGroup.Wait")
+			case (typ == "Mutex" || typ == "RWMutex") && !x.blockingOnly:
+				key, recv := lockKeyFor(x.pkg, x.scope, sel)
+				switch sel.Sel.Name {
+				case "Lock", "RLock":
+					x.evs = append(x.evs, lockEvent{acquire: &lockAcq{key: key, recv: recv, pos: n.Pos()}, pos: n.Pos()})
+				case "Unlock", "RUnlock":
+					x.evs = append(x.evs, lockEvent{release: lockHold{key, recv}, pos: n.Pos()})
+				}
+			}
+			return true
+		}
+		if pkg, name, ok := pkgQualifiedCallee(info, n); ok && pkg == "time" && name == "Sleep" {
+			x.block(n, "time.Sleep")
+		} else if x.m != nil && !x.blockingOnly {
+			if callee := x.m.FuncInfo(StaticCallee(info, n)); callee != nil {
+				x.evs = append(x.evs, lockEvent{call: callee, pos: n.Pos()})
+			}
+		}
+	}
+	return true
+}
+
+// syncCall resolves a call to a method of a sync type (including
+// promoted methods of embedded ones), returning the selector and the
+// type's name: Mutex, RWMutex, WaitGroup and so on.
+func syncCall(info *types.Info, call *ast.CallExpr) (*ast.SelectorExpr, string) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return nil, "", false
+		return nil, ""
 	}
-	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return nil, "", false
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" || fn.Signature().Recv() == nil {
+		return nil, ""
 	}
-	sig := fn.Signature()
-	if sig.Recv() == nil {
-		return nil, "", false
-	}
-	named := derefNamed(sig.Recv().Type())
+	named := derefNamed(fn.Signature().Recv().Type())
 	if named == nil {
-		return nil, "", false
+		return nil, ""
 	}
-	switch named.Obj().Name() {
-	case "Mutex", "RWMutex":
-		return sel, sel.Sel.Name, true
-	}
-	return nil, "", false
+	return sel, named.Obj().Name()
 }
 
 // lockKeyFor derives the stable identity of the mutex behind a
 // Lock/Unlock selector: pkg.Type.field for fields (including embedded
 // mutexes and fields reached through other fields), pkg.var for
-// package-level mutexes, and function$expr for locals.
-func lockKeyFor(fi *FuncInfo, sel *ast.SelectorExpr) (string, string) {
-	info := fi.Pkg.Info
-	recv := exprString(fi.Pkg.Fset, sel.X)
+// package-level mutexes, and scope$expr for locals.
+func lockKeyFor(pkg *Package, scope string, sel *ast.SelectorExpr) (string, string) {
+	info := pkg.Info
+	recv := exprString(pkg.Fset, sel.X)
 
 	// Promoted method of an embedded mutex: key by the outer type and
 	// the first embedding hop.
@@ -481,7 +589,7 @@ func lockKeyFor(fi *FuncInfo, sel *ast.SelectorExpr) (string, string) {
 			if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
 				return v.Pkg().Name() + "." + v.Name(), recv
 			}
-			return funcDisplay(fi) + "$" + v.Name(), recv
+			return scope + "$" + v.Name(), recv
 		}
 	case *ast.SelectorExpr:
 		if s, ok := info.Selections[x]; ok && s.Kind() == types.FieldVal {
@@ -492,7 +600,7 @@ func lockKeyFor(fi *FuncInfo, sel *ast.SelectorExpr) (string, string) {
 			return v.Pkg().Name() + "." + v.Name(), recv // qualified pkg.mu
 		}
 	}
-	return funcDisplay(fi) + "$" + recv, recv
+	return scope + "$" + recv, recv
 }
 
 // typeQual renders a named type as pkg.Type.

@@ -84,3 +84,30 @@ func (q *Q) SpawnWaiter() {
 		q.wg.Wait()
 	}()
 }
+
+// SendAfterEarlyUnlock releases the lock only on the early-return
+// branch: the path that falls through still holds it at the send.
+// want.
+func (q *Q) SendAfterEarlyUnlock(v int) {
+	q.mu.Lock()
+	if v < 0 {
+		q.mu.Unlock()
+		return
+	}
+	q.items = append(q.items, v)
+	q.ch <- v
+	q.mu.Unlock()
+}
+
+// SendAfterUnlockOnBothPaths unlocks on every path before the send.
+// clean.
+func (q *Q) SendAfterUnlockOnBothPaths(v int) {
+	q.mu.Lock()
+	if v < 0 {
+		q.mu.Unlock()
+		return
+	}
+	q.items = append(q.items, v)
+	q.mu.Unlock()
+	q.ch <- v
+}
