@@ -81,8 +81,6 @@ func main() {
 		queueDepth = flag.Int("queue-depth", 16, "bounded job queue depth (full queue returns 429)")
 		cacheCap   = flag.Int("cache-cap", 128, "completed reports kept for cache hits")
 		runTimeout = flag.Duration("run-timeout", 0, "per-run execution bound; expired runs report status \"timeout\" with a partial report (0 = unbounded)")
-		maxRetries = flag.Int("max-retries", 1, "retries for transient-error run failures, resuming from the run checkpoint (negative disables)")
-		retryWait  = flag.Duration("retry-backoff", 100*time.Millisecond, "base delay before the first retry (exponential with jitter; 0 = immediate)")
 		grace      = flag.Duration("shutdown-grace", 30*time.Second, "drain deadline after SIGTERM")
 		dataDir    = flag.String("data-dir", "", "journal run state here and recover it on restart (empty = in-memory only)")
 		fsync      = flag.String("fsync", "always", "journal fsync policy: always, interval, or never")
@@ -112,14 +110,12 @@ func main() {
 	}
 
 	srv := serve.New(serve.Config{
-		Workers:      *workers,
-		QueueDepth:   *queueDepth,
-		CacheCap:     *cacheCap,
-		RunTimeout:   *runTimeout,
-		MaxRetries:   *maxRetries,
-		RetryBackoff: *retryWait,
-		Store:        st,
-		Replica:      *replica,
+		Workers:    *workers,
+		QueueDepth: *queueDepth,
+		CacheCap:   *cacheCap,
+		RunTimeout: *runTimeout,
+		Store:      st,
+		Replica:    *replica,
 	})
 	if rec := srv.Recovery(); rec.Enabled {
 		log.Printf("piumaserve: recovered %d run(s) from %s (%d requeued, %d cached reports, %d skipped; %d records, %d malformed, %d corrupt tail bytes quarantined)",

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -12,12 +11,9 @@ import (
 // callers. A Checkpoint records each completed sweep point as an
 // experiment progresses, so that when a run is killed mid-sweep (the
 // serve RunTimeout, a canceled CLI) the caller can surface a partial
-// report instead of nothing, and a retried run resumes from the last
-// completed point instead of re-simulating the whole sweep.
-//
-// Transient marks an error as worth retrying; the serve layer's
-// bounded-retry loop consults IsTransient before re-running an
-// experiment against the same checkpoint.
+// report instead of nothing, and a run the serve layer recovers from
+// its journal resumes from the last completed point instead of
+// re-simulating the whole sweep.
 
 // Checkpoint accumulates completed sweep points keyed by their run
 // label. Safe for concurrent use; a nil *Checkpoint is a valid no-op
@@ -117,7 +113,7 @@ func (c *Checkpoint) Reused() int {
 // PartialReport renders the checkpointed points of an interrupted run
 // as a report, or nil when no point completed. The serve layer attaches
 // it to timed-out/canceled/failed runs so clients see how far the sweep
-// got; a subsequent retry resumes past every listed point.
+// got.
 func (c *Checkpoint) PartialReport(e Experiment) *Report {
 	if c == nil {
 		return nil
@@ -133,38 +129,9 @@ func (c *Checkpoint) PartialReport(e Experiment) *Report {
 		fmt.Fprintf(&b, "%s: %s\n", label, c.points[label].summary)
 	}
 	r.Add(fmt.Sprintf("Completed sweep points (%d)", len(c.points)), b.String())
-	r.Note("run interrupted before completion; a retry resumes after the %d checkpointed point(s)", len(c.points))
+	r.Note("run interrupted before completion; %d sweep point(s) had completed", len(c.points))
 	if c.reused > 0 {
-		r.Note("%d point(s) were reused from an earlier attempt", c.reused)
+		r.Note("%d point(s) were reused from the checkpoint, not re-simulated", c.reused)
 	}
 	return r
-}
-
-// transientError wraps an error to mark it retryable.
-type transientError struct{ err error }
-
-func (t *transientError) Error() string   { return t.err.Error() }
-func (t *transientError) Unwrap() error   { return t.err }
-func (t *transientError) Transient() bool { return true }
-
-// Transient marks err as transient: the serve retry loop re-runs
-// experiments that fail with a transient error (resuming from the
-// checkpoint). A nil err stays nil.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether any error in err's chain marks itself
-// transient (an interface check, so external error types can opt in by
-// implementing `Transient() bool`). Context cancellation/expiry is
-// never transient: the caller decided to stop.
-func IsTransient(err error) bool {
-	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
 }

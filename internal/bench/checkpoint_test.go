@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -95,35 +94,5 @@ func TestCheckpointConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if cp.Len() != 10 {
 		t.Fatalf("Len = %d, want 10", cp.Len())
-	}
-}
-
-func TestTransientClassification(t *testing.T) {
-	base := errors.New("boom")
-	if IsTransient(base) {
-		t.Fatal("plain error classified transient")
-	}
-	tr := Transient(base)
-	if !IsTransient(tr) {
-		t.Fatal("Transient error not classified transient")
-	}
-	if !errors.Is(tr, base) {
-		t.Fatal("Transient broke the error chain")
-	}
-	if IsTransient(fmt.Errorf("wrap: %w", context.Canceled)) {
-		t.Fatal("cancellation classified transient")
-	}
-	if IsTransient(Transient(fmt.Errorf("wrap: %w", context.DeadlineExceeded))) {
-		t.Fatal("deadline expiry classified transient even when marked")
-	}
-	if Transient(nil) != nil {
-		t.Fatal("Transient(nil) != nil")
-	}
-	if IsTransient(nil) {
-		t.Fatal("nil classified transient")
-	}
-	// Wrapped transience survives.
-	if !IsTransient(fmt.Errorf("attempt 1: %w", tr)) {
-		t.Fatal("wrapped transient lost its mark")
 	}
 }

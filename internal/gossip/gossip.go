@@ -94,9 +94,6 @@ type Config struct {
 	Interval time.Duration
 	// Timeout bounds one exchange (default 1s).
 	Timeout time.Duration
-	// IndirectProbes is how many helpers a failed direct probe recruits
-	// for ping-req (default 1).
-	IndirectProbes int
 	// SuspectAfter is how many consecutive failed probe rounds of a
 	// member make it suspect (default 2) — the gossip analogue of the
 	// prober's mark-down hysteresis.
@@ -120,9 +117,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = time.Second
-	}
-	if c.IndirectProbes <= 0 {
-		c.IndirectProbes = 1
 	}
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 2
@@ -335,7 +329,11 @@ func (n *Node) exchange(ctx context.Context, addr string, msg Message) (Message,
 	return n.cfg.Transport.Exchange(ectx, addr, msg)
 }
 
-// helpersLocked picks up to IndirectProbes alive members (excluding the
+// indirectProbes is how many helpers a failed direct probe recruits
+// for ping-req.
+const indirectProbes = 1
+
+// helpersLocked picks up to indirectProbes alive members (excluding the
 // target) in name order — deterministic helper selection.
 func (n *Node) helpersLocked(target string) []*member {
 	names := make([]string, 0, len(n.members))
@@ -345,8 +343,8 @@ func (n *Node) helpersLocked(target string) []*member {
 		}
 	}
 	sort.Strings(names)
-	if len(names) > n.cfg.IndirectProbes {
-		names = names[:n.cfg.IndirectProbes]
+	if len(names) > indirectProbes {
+		names = names[:indirectProbes]
 	}
 	out := make([]*member, 0, len(names))
 	for _, name := range names {

@@ -23,7 +23,7 @@ func TestDeadlineBudgetTimesOutRun(t *testing.T) {
 	block := make(chan struct{}) // never closed: the sweep stalls after point 0
 	s := newTestServer(t, serve.Config{
 		Workers:     1,
-		Experiments: []bench.Experiment{sweepExperiment("sweep", 4, block, nil, 0)},
+		Experiments: []bench.Experiment{sweepExperiment("sweep", 4, block, false)},
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -125,7 +125,7 @@ func TestDeadlineBudgetBeatsWaiterAbandon(t *testing.T) {
 func TestDeadlineBudgetIgnoredWhenAbsent(t *testing.T) {
 	s := newTestServer(t, serve.Config{
 		Workers:     1,
-		Experiments: []bench.Experiment{sweepExperiment("sweep", 2, nil, nil, 0)},
+		Experiments: []bench.Experiment{sweepExperiment("sweep", 2, nil, false)},
 	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)

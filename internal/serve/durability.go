@@ -320,12 +320,16 @@ func (s *Server) canonicalRecordsLocked() []store.Record {
 	return recs
 }
 
+// compactBytes is the journal size past which maybeCompact
+// snapshot-and-truncates it.
+const compactBytes = 4 << 20
+
 // maybeCompact snapshot-and-truncates the journal once it outgrows
-// Config.CompactBytes. Skipped while draining: compaction would journal
+// compactBytes. Skipped while draining: compaction would journal
 // terminal records for runs the drain is deliberately preserving.
 func (s *Server) maybeCompact() {
 	st := s.cfg.Store
-	if st == nil || s.cfg.CompactBytes <= 0 || st.SizeBytes() <= s.cfg.CompactBytes {
+	if st == nil || st.SizeBytes() <= compactBytes {
 		return
 	}
 	s.mu.Lock()

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,7 +47,7 @@ func shutdownAndClose(t *testing.T, s *serve.Server, st *store.Store) {
 // restart is a cache hit, not a re-simulation.
 func TestRestartRecoversResultCache(t *testing.T) {
 	dir := t.TempDir()
-	exp := sweepExperiment("sweep", 2, nil, nil, 0)
+	exp := sweepExperiment("sweep", 2, nil, false)
 
 	st1 := openStore(t, dir)
 	s1 := serve.New(serve.Config{Experiments: []bench.Experiment{exp}, Store: st1})
@@ -103,7 +102,7 @@ func TestDrainPreservesInFlightRunsForResume(t *testing.T) {
 
 	st1 := openStore(t, dir)
 	s1 := serve.New(serve.Config{
-		Experiments: []bench.Experiment{sweepExperiment("sweep", points, block, nil, 0)},
+		Experiments: []bench.Experiment{sweepExperiment("sweep", points, block, false)},
 		Store:       st1,
 	})
 	v, _, err := s1.Submit("sweep", bench.QuickOptions(), false)
@@ -133,7 +132,7 @@ func TestDrainPreservesInFlightRunsForResume(t *testing.T) {
 	close(released)
 	st2 := openStore(t, dir)
 	s2 := newTestServer(t, serve.Config{
-		Experiments: []bench.Experiment{sweepExperiment("sweep", points, released, nil, 0)},
+		Experiments: []bench.Experiment{sweepExperiment("sweep", points, released, false)},
 		Store:       st2,
 	})
 	t.Cleanup(func() { st2.Close() })
@@ -155,14 +154,10 @@ func TestDrainPreservesInFlightRunsForResume(t *testing.T) {
 // report rebuilt from the points it had checkpointed.
 func TestRestartRestoresFailedRunWithPartialReport(t *testing.T) {
 	dir := t.TempDir()
-	exp := sweepExperiment("flaky", 3, nil, new(atomic.Int64), 1) // attempt 1 fails after point 0
+	exp := sweepExperiment("flaky", 3, nil, true) // fails after point 0
 
 	st1 := openStore(t, dir)
-	s1 := serve.New(serve.Config{
-		Experiments: []bench.Experiment{exp},
-		MaxRetries:  -1, // no retries: the transient failure is terminal
-		Store:       st1,
-	})
+	s1 := serve.New(serve.Config{Experiments: []bench.Experiment{exp}, Store: st1})
 	v, _, err := s1.Submit("flaky", bench.QuickOptions(), false)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +186,7 @@ func TestRestartRestoresFailedRunWithPartialReport(t *testing.T) {
 // is quarantined, and the service keeps accepting runs.
 func TestCorruptJournalTailQuarantinesAtBoot(t *testing.T) {
 	dir := t.TempDir()
-	exp := sweepExperiment("sweep", 2, nil, nil, 0)
+	exp := sweepExperiment("sweep", 2, nil, false)
 
 	st1 := openStore(t, dir)
 	s1 := serve.New(serve.Config{Experiments: []bench.Experiment{exp}, Store: st1})
@@ -250,7 +245,7 @@ func TestSubmitBodyTooLarge(t *testing.T) {
 // TestNoStoreKeepsInMemoryBehavior: without a Store the service is the
 // pre-durability one — no recovery, no journal, zero journal gauge.
 func TestNoStoreKeepsInMemoryBehavior(t *testing.T) {
-	s := newTestServer(t, serve.Config{Experiments: []bench.Experiment{sweepExperiment("sweep", 2, nil, nil, 0)}})
+	s := newTestServer(t, serve.Config{Experiments: []bench.Experiment{sweepExperiment("sweep", 2, nil, false)}})
 	if rec := s.Recovery(); rec.Enabled {
 		t.Fatalf("recovery enabled without a store: %+v", rec)
 	}

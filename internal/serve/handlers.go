@@ -119,7 +119,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if existing || v.Status.terminal() {
 		status = http.StatusOK
 	}
-	writeRun(w, status, v, existing)
+	s.writeRun(w, status, v, existing)
 }
 
 func writeSubmitError(w http.ResponseWriter, err error) {
@@ -152,7 +152,7 @@ func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		// The listing stays light: heads only, reports are fetched per run.
-		out = append(out, resourceFromView(v, false))
+		out = append(out, resourceFromView(v, false, s.clock))
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -182,7 +182,7 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeRun(w, http.StatusOK, v, false)
+	s.writeRun(w, http.StatusOK, v, false)
 }
 
 // waitBudgeted blocks on a run like Wait, additionally bounded by the
@@ -247,7 +247,7 @@ func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeRun(w, http.StatusOK, v, false)
+	s.writeRun(w, http.StatusOK, v, false)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

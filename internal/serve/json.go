@@ -25,11 +25,9 @@ type RunResource struct {
 	Hits        int64         `json:"hits,omitempty"`
 	SubmittedAt *time.Time    `json:"submitted_at,omitempty"`
 	ElapsedMS   int64         `json:"elapsed_ms,omitempty"`
-	// Retries counts transient-failure re-executions the run consumed.
-	Retries int `json:"retries,omitempty"`
 	// CheckpointPoints is how many sweep points the run has completed
 	// (journal-recovered points included); ReusedPoints is how many a
-	// resumed or retried execution skipped re-simulating.
+	// resumed execution skipped re-simulating.
 	CheckpointPoints int    `json:"checkpoint_points,omitempty"`
 	ReusedPoints     int    `json:"reused_points,omitempty"`
 	Error            string `json:"error,omitempty"`
@@ -47,7 +45,9 @@ type ExperimentResource struct {
 
 // resourceFromView builds the head of a run resource: every field but
 // Report, whose stored bytes travel separately in v.ReportJSON.
-func resourceFromView(v RunView, cached bool) RunResource {
+// elapsed_ms is the run's execution time on clock: up to its finish, or
+// up to now while it runs (zero before it starts).
+func resourceFromView(v RunView, cached bool, clock Clock) RunResource {
 	res := RunResource{
 		ID:         v.ID,
 		Experiment: v.Experiment,
@@ -55,13 +55,18 @@ func resourceFromView(v RunView, cached bool) RunResource {
 		Status:     v.Status,
 		Cached:     cached,
 		Hits:       v.Hits,
-		ElapsedMS:  v.Elapsed().Milliseconds(),
-		Retries:    v.Retries,
 
 		CheckpointPoints: v.CheckpointPoints,
 		ReusedPoints:     v.ReusedPoints,
 
 		Error: v.Err,
+	}
+	if !v.Started.IsZero() {
+		end := v.Finished
+		if end.IsZero() {
+			end = clock.Now()
+		}
+		res.ElapsedMS = end.Sub(v.Started).Milliseconds()
 	}
 	if !v.Submitted.IsZero() {
 		t := v.Submitted
@@ -156,8 +161,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // writeRun answers with one run resource: v's head plus its stored
 // report, if it has one. It is the only writer of run resources.
-func writeRun(w http.ResponseWriter, status int, v RunView, cached bool) {
-	body, err := encodeRunResource(resourceFromView(v, cached), v.ReportJSON)
+func (s *Server) writeRun(w http.ResponseWriter, status int, v RunView, cached bool) {
+	body, err := encodeRunResource(resourceFromView(v, cached, s.clock), v.ReportJSON)
 	writeBody(w, status, body, err)
 }
 

@@ -85,7 +85,7 @@ func checkRunResponse(t *testing.T, s *Server, w *httptest.ResponseRecorder, wan
 	if !ok {
 		t.Fatalf("run %s not in the table", head.ID)
 	}
-	want := reflectiveRun(t, resourceFromView(v, cached), rep)
+	want := reflectiveRun(t, resourceFromView(v, cached, s.clock), rep)
 	if got := w.Body.Bytes(); !bytes.Equal(got, want) {
 		t.Fatalf("response differs from the reflective encoding\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}

@@ -38,7 +38,6 @@ type metrics struct {
 	// Resilience families (registered after the simulation families so
 	// the pre-existing exposition prefix stays byte-identical).
 	timedOut      *obs.Counter
-	retries       *obs.Counter
 	panics        *obs.Counter
 	faultSeverity *obs.GaugeVec
 
@@ -84,7 +83,6 @@ func newMetrics() *metrics {
 		simBusy:   reg.CounterVec("piumaserve_sim_busy_seconds_total", "Simulated component busy time, by component class.", "class"),
 
 		timedOut: reg.Counter("piumaserve_runs_timed_out_total", "Runs killed by the run timeout."),
-		retries:  reg.Counter("piumaserve_run_retries_total", "Transient-failure retries executed."),
 		panics:   reg.Counter("piumaserve_run_panics_total", "Experiment panics recovered by the worker pool."),
 		faultSeverity: reg.GaugeVec("piumaserve_fault_severity",
 			"Severity of the most recent fault-injected run, by experiment.", "experiment"),
@@ -136,9 +134,7 @@ func (m *metrics) incCanceled()  { m.canceled.Inc() }
 func (m *metrics) incCacheHit()  { m.cacheHits.Inc() }
 func (m *metrics) incDedupHit()  { m.dedupHits.Inc() }
 func (m *metrics) incEvicted()   { m.evicted.Inc() }
-
-func (m *metrics) incRetried()  { m.retries.Inc() }
-func (m *metrics) incPanicked() { m.panics.Inc() }
+func (m *metrics) incPanicked()  { m.panics.Inc() }
 
 // incTimedOut counts a timeout kill. The legacy canceled counter keeps
 // covering timeouts too (its help text has always read "canceled or

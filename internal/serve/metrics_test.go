@@ -35,8 +35,6 @@ func TestMetricsExpositionByteCompatible(t *testing.T) {
 	m.incRejected("queue_full")
 	m.incRejected("draining")
 	m.incTimedOut() // bumps the legacy canceled counter too
-	m.incRetried()
-	m.incRetried()
 	m.incPanicked()
 	m.setFaultSeverity("ext-degraded", 0.5)
 	m.addRecovered(3)
@@ -121,9 +119,6 @@ piumaserve_run_duration_seconds_count{experiment="fig5"} 1
 	resilienceFamilies := `# HELP piumaserve_runs_timed_out_total Runs killed by the run timeout.
 # TYPE piumaserve_runs_timed_out_total counter
 piumaserve_runs_timed_out_total 1
-# HELP piumaserve_run_retries_total Transient-failure retries executed.
-# TYPE piumaserve_run_retries_total counter
-piumaserve_run_retries_total 2
 # HELP piumaserve_run_panics_total Experiment panics recovered by the worker pool.
 # TYPE piumaserve_run_panics_total counter
 piumaserve_run_panics_total 1

@@ -26,17 +26,13 @@ func panicExperiment(id string, v any) bench.Experiment {
 
 // sweepExperiment simulates a multi-point sweep: each point checkpoints
 // through the context, `block` (when non-nil) stalls the sweep between
-// points until closed or the context dies, and failAt (1-based attempt
-// number) makes that attempt fail transiently after one point.
-func sweepExperiment(id string, points int, block <-chan struct{}, attempts *atomic.Int64, failAttempt int64) bench.Experiment {
+// points until closed or the context dies, and fail makes the run fail
+// after its first point.
+func sweepExperiment(id string, points int, block <-chan struct{}, fail bool) bench.Experiment {
 	return bench.Experiment{
 		ID:    id,
 		Title: "test sweep",
 		Run: func(ctx context.Context, o bench.Options) (*bench.Report, error) {
-			attempt := int64(0)
-			if attempts != nil {
-				attempt = attempts.Add(1)
-			}
 			cp := bench.CheckpointFrom(ctx)
 			for i := 0; i < points; i++ {
 				if err := ctx.Err(); err != nil {
@@ -47,8 +43,8 @@ func sweepExperiment(id string, points int, block <-chan struct{}, attempts *ato
 					continue
 				}
 				cp.Complete(label, i, fmt.Sprintf("value %d", i))
-				if failAttempt > 0 && attempt == failAttempt {
-					return nil, bench.Transient(fmt.Errorf("attempt %d: flaky backend", attempt))
+				if fail {
+					return nil, errors.New("flaky backend")
 				}
 				if block != nil {
 					select {
@@ -119,7 +115,7 @@ func TestTimeoutReportsDistinctStatusWithPartialReport(t *testing.T) {
 	s := newTestServer(t, serve.Config{
 		Workers:     1,
 		RunTimeout:  30 * time.Millisecond,
-		Experiments: []bench.Experiment{sweepExperiment("sweep", 4, block, nil, 0)},
+		Experiments: []bench.Experiment{sweepExperiment("sweep", 4, block, false)},
 	})
 	v, _, err := s.Submit("sweep", bench.QuickOptions(), false)
 	if err != nil {
@@ -155,7 +151,7 @@ func TestUserCancelStaysCanceled(t *testing.T) {
 	s := newTestServer(t, serve.Config{
 		Workers:     1,
 		RunTimeout:  time.Hour, // present but far away: cancel must win the classification
-		Experiments: []bench.Experiment{sweepExperiment("sweep", 4, block, nil, 0)},
+		Experiments: []bench.Experiment{sweepExperiment("sweep", 4, block, false)},
 	})
 	v, _, err := s.Submit("sweep", bench.QuickOptions(), false)
 	if err != nil {
@@ -187,7 +183,7 @@ func TestCancelWhileQueued(t *testing.T) {
 		Workers: 1,
 		Experiments: []bench.Experiment{
 			blockingExperiment("blocker", &started, release),
-			sweepExperiment("sweep", 2, nil, nil, 0),
+			sweepExperiment("sweep", 2, nil, false),
 		},
 	})
 	// Occupy the lone worker.
@@ -219,87 +215,31 @@ func TestCancelWhileQueued(t *testing.T) {
 	waitStatus(t, s, fresh.ID, serve.StatusDone)
 }
 
-// TestTransientFailureRetriesAndResumes: a run whose first attempt
-// fails transiently must be retried and succeed, with the retry
-// resuming from the checkpoint instead of re-running completed points.
-func TestTransientFailureRetriesAndResumes(t *testing.T) {
-	var attempts atomic.Int64
-	s := newTestServer(t, serve.Config{
-		Workers:     1,
-		MaxRetries:  2,
-		Experiments: []bench.Experiment{sweepExperiment("flaky", 3, nil, &attempts, 1)},
-	})
-	v, _, err := s.Submit("flaky", bench.QuickOptions(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitStatus(t, s, v.ID, serve.StatusDone)
-	if attempts.Load() != 2 {
-		t.Fatalf("experiment ran %d times, want 2 (fail + resume)", attempts.Load())
-	}
-	if got.Retries != 1 {
-		t.Fatalf("RunView.Retries = %d, want 1", got.Retries)
-	}
-	if out := reportText(t, got); !strings.Contains(out, "3 points") {
-		t.Fatalf("retried run did not complete the sweep: %s", out)
-	}
-}
-
-// TestRetriesExhaustedReportsFailed: when every attempt fails
-// transiently, the run fails after MaxRetries extra attempts and keeps
-// the partial report.
-func TestRetriesExhaustedReportsFailed(t *testing.T) {
-	var attempts atomic.Int64
-	exp := bench.Experiment{
-		ID:    "always-flaky",
-		Title: "always flaky",
-		Run: func(ctx context.Context, o bench.Options) (*bench.Report, error) {
-			n := attempts.Add(1)
-			cp := bench.CheckpointFrom(ctx)
-			cp.Complete(fmt.Sprintf("attempt-%d", n), n, "partial work")
-			return nil, bench.Transient(errors.New("backend still down"))
-		},
-	}
-	s := newTestServer(t, serve.Config{Workers: 1, MaxRetries: 2, Experiments: []bench.Experiment{exp}})
-	v, _, err := s.Submit("always-flaky", bench.QuickOptions(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitStatus(t, s, v.ID, serve.StatusFailed)
-	if attempts.Load() != 3 { // initial + 2 retries
-		t.Fatalf("experiment ran %d times, want 3", attempts.Load())
-	}
-	if got.Retries != 2 {
-		t.Fatalf("RunView.Retries = %d, want 2", got.Retries)
-	}
-	if !strings.Contains(reportText(t, got), "attempt-1") {
-		t.Fatal("failed run lost its partial report")
-	}
-}
-
-// TestNonTransientFailureIsNotRetried: plain errors must not consume
-// retries (regression guard for the pre-existing failure semantics).
-func TestNonTransientFailureIsNotRetried(t *testing.T) {
+// TestFailedRunExecutesOnce: an experiment error ends the run at once —
+// the experiment is not re-executed — and the failed run keeps the
+// partial report of the points it checkpointed.
+func TestFailedRunExecutesOnce(t *testing.T) {
 	var attempts atomic.Int64
 	exp := bench.Experiment{
 		ID:    "hard-fail",
 		Title: "hard failure",
 		Run: func(ctx context.Context, o bench.Options) (*bench.Report, error) {
-			attempts.Add(1)
+			n := attempts.Add(1)
+			bench.CheckpointFrom(ctx).Complete(fmt.Sprintf("attempt-%d", n), n, "partial work")
 			return nil, errors.New("deterministic bug")
 		},
 	}
-	s := newTestServer(t, serve.Config{Workers: 1, MaxRetries: 3, Experiments: []bench.Experiment{exp}})
+	s := newTestServer(t, serve.Config{Workers: 1, Experiments: []bench.Experiment{exp}})
 	v, _, err := s.Submit("hard-fail", bench.QuickOptions(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := waitStatus(t, s, v.ID, serve.StatusFailed)
 	if attempts.Load() != 1 {
-		t.Fatalf("non-transient failure ran %d times, want 1", attempts.Load())
+		t.Fatalf("failed run executed %d times, want 1", attempts.Load())
 	}
-	if got.Retries != 0 {
-		t.Fatalf("Retries = %d, want 0", got.Retries)
+	if !strings.Contains(reportText(t, got), "attempt-1") {
+		t.Fatal("failed run lost its partial report")
 	}
 }
 
@@ -311,7 +251,7 @@ func TestTimeoutRunExposesTimeoutOnWire(t *testing.T) {
 	s := newTestServer(t, serve.Config{
 		Workers:     1,
 		RunTimeout:  20 * time.Millisecond,
-		Experiments: []bench.Experiment{sweepExperiment("sweep", 4, block, nil, 0)},
+		Experiments: []bench.Experiment{sweepExperiment("sweep", 4, block, false)},
 	})
 	v, _, err := s.Submit("sweep", bench.QuickOptions(), false)
 	if err != nil {

@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -76,14 +75,6 @@ type Config struct {
 	// status (with a partial report of its checkpointed sweep points),
 	// not "canceled".
 	RunTimeout time.Duration
-	// MaxRetries is how many times a run failing with a transient error
-	// (bench.IsTransient) is re-executed before reporting failure. Each
-	// retry resumes from the run's checkpoint, so completed sweep points
-	// are not re-simulated (default 1; negative disables retries).
-	MaxRetries int
-	// RetryBackoff is the base delay before the first retry; subsequent
-	// retries back off exponentially with jitter (0 = retry immediately).
-	RetryBackoff time.Duration
 	// Experiments is the served registry (default bench.All()). Tests
 	// inject synthetic experiments here.
 	Experiments []bench.Experiment
@@ -94,11 +85,6 @@ type Config struct {
 	// previous process died. Nil keeps the service fully in-memory,
 	// byte-for-byte identical to its pre-durability behavior.
 	Store *store.Store
-	// CompactBytes triggers snapshot-and-truncate journal compaction
-	// once the journal grows past this size (default 4 MiB; negative
-	// disables size-triggered compaction — the startup compaction after
-	// replay always runs).
-	CompactBytes int64
 	// Replica, when non-empty, names this serving replica: the HTTP
 	// handler stamps it into the X-Piuma-Replica response header so a
 	// fan-out front door (internal/gate) can attribute responses to
@@ -121,17 +107,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheCap <= 0 {
 		c.CacheCap = 128
 	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 1
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	}
 	if c.Experiments == nil {
 		c.Experiments = bench.All()
-	}
-	if c.CompactBytes == 0 {
-		c.CompactBytes = 4 << 20
 	}
 	if c.Clock == nil {
 		c.Clock = wallClock{}
@@ -212,7 +189,6 @@ type run struct {
 	// runs canceled before execution.
 	profile   *obs.Profile
 	errMsg    string
-	retries   int
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
@@ -238,15 +214,13 @@ type RunView struct {
 	// bench.Report. The slice is shared: treat it as read-only.
 	ReportJSON []byte
 	Err        string
-	// Retries counts transient-failure re-executions this run consumed.
-	Retries   int
-	Submitted time.Time
-	Started   time.Time
-	Finished  time.Time
-	Hits      int64
+	Submitted  time.Time
+	Started    time.Time
+	Finished   time.Time
+	Hits       int64
 	// CheckpointPoints is how many sweep points the run has completed so
 	// far (including points recovered from the journal); ReusedPoints is
-	// how many of them a resumed or retried execution skipped.
+	// how many of them a resumed execution skipped.
 	CheckpointPoints int
 	ReusedPoints     int
 }
@@ -259,7 +233,6 @@ func (r *run) view() RunView {
 		Status:     r.status,
 		ReportJSON: r.report,
 		Err:        r.errMsg,
-		Retries:    r.retries,
 		Submitted:  r.submitted,
 		Started:    r.started,
 		Finished:   r.finished,
@@ -268,17 +241,6 @@ func (r *run) view() RunView {
 		CheckpointPoints: r.cp.Len(),
 		ReusedPoints:     r.cp.Reused(),
 	}
-}
-
-// Elapsed is the run's execution time so far (zero before it starts).
-func (v RunView) Elapsed() time.Duration {
-	if v.Started.IsZero() {
-		return 0
-	}
-	if v.Finished.IsZero() {
-		return time.Since(v.Started)
-	}
-	return v.Finished.Sub(v.Started)
 }
 
 // Server owns the queue, the worker pool and the run table.
@@ -715,40 +677,19 @@ func (s *Server) execute(r *run) {
 	// retention, so long-running services never accumulate trace memory.
 	// The experiment runs single-threadedly against it; the run.done
 	// close in finishLocked publishes the finished profile to readers.
-	// The checkpoint is shared across attempts: a retried experiment
-	// resumes past every sweep point an earlier attempt completed, and
-	// an interrupted run's checkpointed points back its partial report.
-	// Recovered runs arrive here with the previous boot's points already
-	// restored. The observer journals each fresh point the moment it
-	// completes, so a crash loses at most the point in flight.
+	// An interrupted or failed run's checkpointed points back its
+	// partial report. Recovered runs arrive here with the previous
+	// boot's points already restored, and skip them. The observer
+	// journals each fresh point the moment it completes, so a crash
+	// loses at most the point in flight.
 	prof := obs.NewProfiler(obs.ProfilerOptions{MaxSpans: -1})
 	cp := r.cp
 	cp.SetObserver(func(p bench.Point) { s.journalPoint(r.id, p) })
 	runCtx := bench.WithCheckpoint(obs.NewContext(ctx, prof), cp)
 
-	// attempt runs the experiment once, converting a panic into a
-	// *PanicError so one bad experiment cannot erode the worker pool.
-	attempt := func() (rep *bench.Report, err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				s.metrics.incPanicked()
-				err = &PanicError{Value: v, Stack: string(debug.Stack())}
-			}
-		}()
-		return r.exp.Run(runCtx, r.opts)
-	}
-
-	rep, err := attempt()
-	for try := 1; err != nil && bench.IsTransient(err) && try <= s.cfg.MaxRetries && ctx.Err() == nil; try++ {
-		s.mu.Lock()
-		r.retries++
-		s.mu.Unlock()
-		s.metrics.incRetried()
-		if !s.backoff(ctx, try) {
-			break
-		}
-		rep, err = attempt()
-	}
+	// A run executes once: its simulations are deterministic, so an
+	// error would recur on any re-execution and ends the run here.
+	rep, err := s.runExperiment(runCtx, r)
 	if err == nil && rep == nil {
 		err = fmt.Errorf("experiment %s returned no report", r.exp.ID)
 	}
@@ -781,27 +722,16 @@ func (s *Server) execute(r *run) {
 	s.maybeCompact()
 }
 
-// backoff sleeps before retry number `try` (exponential from
-// Config.RetryBackoff, with jitter), honoring ctx. It reports whether
-// the retry should proceed.
-func (s *Server) backoff(ctx context.Context, try int) bool {
-	d := s.cfg.RetryBackoff
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	if try > 1 && try < 63 {
-		d <<= try - 1
-	}
-	// Full jitter on the upper half keeps retry herds from aligning.
-	d = d/2 + rand.N(d/2+1)
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+// runExperiment runs r's experiment, converting a panic into a
+// *PanicError so one bad experiment cannot erode the worker pool.
+func (s *Server) runExperiment(ctx context.Context, r *run) (rep *bench.Report, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.metrics.incPanicked()
+			err = &PanicError{Value: v, Stack: string(debug.Stack())}
+		}
+	}()
+	return r.exp.Run(ctx, r.opts)
 }
 
 // finishLocked moves a run to its terminal status, closes done, frees

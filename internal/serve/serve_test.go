@@ -660,3 +660,48 @@ func TestInjectedClockStampsLifecycle(t *testing.T) {
 		}
 	}
 }
+
+// steppingClock is a serve.Clock that moves forward by step on every
+// reading, so each timestamp a server stamps is distinct and known.
+type steppingClock struct {
+	mu   sync.Mutex
+	t    time.Time
+	step time.Duration
+}
+
+func (c *steppingClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(c.step)
+	return c.t
+}
+
+// TestElapsedOnInjectedClock: elapsed_ms is measured on the server's
+// Clock, for a running run as much as for a finished one (regression:
+// a running run's elapsed_ms subtracted its injected-clock start from
+// the wall clock).
+func TestElapsedOnInjectedClock(t *testing.T) {
+	const step = 3 * time.Second
+	release := make(chan struct{})
+	s := newTestServer(t, serve.Config{
+		Workers:     1,
+		Experiments: []bench.Experiment{blockingExperiment("block", nil, release)},
+		Clock:       &steppingClock{t: time.Date(2026, 2, 3, 4, 5, 6, 0, time.UTC), step: step},
+	})
+	h := s.Handler()
+	// Clock readings: submitted, started, then the GET of the running run.
+	v, _, err := s.Submit("block", bench.QuickOptions(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, s, v.ID, serve.StatusRunning)
+	if got := decodeRun(t, doJSON(t, h, "GET", "/v1/runs/"+v.ID, "")).ElapsedMS; got != step.Milliseconds() {
+		t.Fatalf("running run elapsed_ms = %d, want %d (one clock step)", got, step.Milliseconds())
+	}
+	// The finish is the next reading: two steps after the start.
+	close(release)
+	waitStatus(t, s, v.ID, serve.StatusDone)
+	if got := decodeRun(t, doJSON(t, h, "GET", "/v1/runs/"+v.ID, "")).ElapsedMS; got != 2*step.Milliseconds() {
+		t.Fatalf("done run elapsed_ms = %d, want %d (two clock steps)", got, 2*step.Milliseconds())
+	}
+}
