@@ -5,30 +5,51 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"piumagcn/internal/lint"
 )
 
-// cacheVersion salts every key: bump it when diagnostic formats or
-// analyzer semantics change so stale entries cannot replay.
-const cacheVersion = "piumalint-cache-v2"
-
 // resultCache is a content-addressed store of analysis results: one
 // JSON file of diagnostics per key, written atomically. Keys bind the
-// tool version, the analyzer set and the content hash of every file
-// the analysis could have seen, so a hit is byte-for-byte equivalent
-// to re-running.
+// piumalint executable, the analyzer set and the content hash of every
+// file the analysis could have seen, so a hit is byte-for-byte
+// equivalent to re-running.
 type resultCache struct {
-	dir string
+	dir  string
+	tool string // SHA-256 of the running executable
 }
 
-// cacheKey builds the key for running the named analyzers against
-// content identified by closureHash.
-func cacheKey(kind string, analyzers []*lint.Analyzer, closureHash string) string {
+// newResultCache opens the cache in dir, keyed to the running
+// executable: any change to the analyzers' code, their messages or the
+// diagnostic format builds a different binary, so it can only miss.
+func newResultCache(dir string) (*resultCache, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.Open(exe)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00", cacheVersion, kind)
+	if _, err := io.Copy(h, f); err != nil {
+		return nil, err
+	}
+	return &resultCache{dir: dir, tool: hex.EncodeToString(h.Sum(nil))}, nil
+}
+
+// key builds the key for running the named analyzers against content
+// identified by closureHash ("" without a cache).
+func (c *resultCache) key(kind string, analyzers []*lint.Analyzer, closureHash string) string {
+	if c == nil {
+		return ""
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\x00%s\x00", c.tool, kind)
 	for _, a := range analyzers {
 		fmt.Fprintf(h, "%s\x00", a.Name)
 	}

@@ -1,35 +1,33 @@
 // Command piumalint runs the repo's static-analysis suite
-// (internal/lint) over package patterns: the determinism, lock
-// discipline, error handling, context hygiene and metric label
-// invariants that the golden tests and the WAL replay depend on,
-// machine-checked at the AST/type level — plus the interprocedural
-// analyzers (lockorder, gorolifetime, detertaint), which see call
-// edges across package boundaries.
+// (internal/lint) over package patterns: the lock discipline, error
+// handling, context hygiene and metric label invariants that the golden
+// tests and the WAL replay depend on, machine-checked at the AST/type
+// level — plus the interprocedural analyzers (lockorder, gorolifetime,
+// and detertaint for determinism), which see call edges across package
+// boundaries.
 //
 // Usage:
 //
 //	piumalint [flags] [packages]
 //
-//	piumalint ./...                          # whole module, default scoping
-//	piumalint -analyzer determinism ./...    # one analyzer, every package
-//	piumalint -json ./internal/sim           # machine-readable findings
-//	piumalint -cache .lintcache ./...        # content-hash result cache
-//	piumalint -baseline lint.baseline ./...  # fail only on new findings
+//	piumalint ./...                       # whole module, default scoping
+//	piumalint -analyzer detertaint ./...  # one analyzer, every package
+//	piumalint -json ./internal/sim        # machine-readable findings
+//	piumalint -cache .lintcache ./...     # content-hash result cache
 //
 // Patterns are "./..." walks, directory paths, or import paths inside
 // the module. Without -analyzer each analyzer runs over its default
-// scope (e.g. determinism covers the simulation and codec packages);
-// with -analyzer the named analyzers run on every listed package.
+// scope (e.g. detertaint covers the simulation, codec and serving
+// packages); with -analyzer the named analyzers run on every listed
+// package.
 // Findings can be suppressed with "//lint:ignore <analyzer> <reason>"
 // on or above the offending line.
 //
 // The -cache directory keys results by a content hash over every file
 // of the analyzed package and its transitive module-internal imports,
-// so a warm run replays byte-identical diagnostics without
-// type-checking. -baseline FILE subtracts previously recorded findings
-// (by path, analyzer and message — line numbers are ignored so the
-// ratchet survives unrelated edits); -write-baseline records the
-// current findings into FILE and exits clean.
+// and by the hash of the piumalint executable itself, so a warm run
+// replays byte-identical diagnostics without type-checking and a
+// rebuilt analyzer never replays its predecessor's findings.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load errors.
 package main
@@ -55,8 +53,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	analyzerFlag := fs.String("analyzer", "", "comma-separated analyzer names to run (bypasses default package scoping)")
 	listFlag := fs.Bool("list", false, "list analyzers and exit")
 	cacheFlag := fs.String("cache", "", "directory for the content-hash result cache (empty disables caching)")
-	baselineFlag := fs.String("baseline", "", "baseline file: fail only on findings not recorded in it")
-	writeBaselineFlag := fs.Bool("write-baseline", false, "record current findings into the -baseline file and exit clean")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: piumalint [flags] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.All() {
@@ -73,10 +69,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintf(stdout, "%-16s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *writeBaselineFlag && *baselineFlag == "" {
-		fmt.Fprintln(stderr, "piumalint: -write-baseline requires -baseline FILE")
-		return 2
 	}
 
 	var selected []*lint.Analyzer
@@ -112,7 +104,9 @@ func run(args []string, stdout, stderr *os.File) int {
 
 	var cache *resultCache
 	if *cacheFlag != "" {
-		cache = &resultCache{dir: *cacheFlag}
+		if cache, err = newResultCache(*cacheFlag); err != nil {
+			fmt.Fprintf(stderr, "piumalint: running uncached: %v\n", err)
+		}
 	}
 
 	diags, code := analyze(loader, cache, paths, selected, stderr)
@@ -120,22 +114,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		return code
 	}
 	lint.SortDiagnostics(diags)
-
-	if *writeBaselineFlag {
-		if err := writeBaseline(*baselineFlag, diags, loader.ModuleDir); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "piumalint: recorded %d finding(s) in %s\n", len(diags), *baselineFlag)
-		return 0
-	}
-	if *baselineFlag != "" {
-		diags, err = applyBaseline(*baselineFlag, diags, loader.ModuleDir)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	}
 
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
@@ -198,7 +176,7 @@ func analyze(loader *lint.Loader, cache *resultCache, paths []string, selected [
 			fmt.Fprintln(stderr, err)
 			return nil, 2
 		}
-		key := cacheKey("package", analyzers, closure)
+		key := cache.key("package", analyzers, closure)
 		if cached, ok := cache.get(key); ok {
 			diags = append(diags, cached...)
 			continue
@@ -244,7 +222,7 @@ func analyze(loader *lint.Loader, cache *resultCache, paths []string, selected [
 			fmt.Fprintln(stderr, err)
 			return nil, 2
 		}
-		key := cacheKey("module", []*lint.Analyzer{a}, closure)
+		key := cache.key("module", []*lint.Analyzer{a}, closure)
 		if cached, ok := cache.get(key); ok {
 			diags = append(diags, cached...)
 			continue

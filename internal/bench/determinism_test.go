@@ -9,11 +9,12 @@ import (
 )
 
 // TestExtDegradedCrossRunDeterminism locks in the reproducibility
-// contract the determinism analyzer (internal/lint) enforces
+// contract the detertaint analyzer (internal/lint) enforces
 // statically: two runs of the same seeded fault-injection sweep in the
 // same process must produce byte-identical reports AND byte-identical
 // Chrome traces. A diff here means wall-clock time, global rand state
-// or map iteration order leaked into an output path.
+// or map iteration order leaked into an output path — including
+// through control flow alone, which detertaint does not track.
 func TestExtDegradedCrossRunDeterminism(t *testing.T) {
 	e, err := ByID("ext-degraded")
 	if err != nil {

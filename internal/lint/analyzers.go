@@ -6,7 +6,6 @@ import "fmt"
 func All() []*Analyzer {
 	return []*Analyzer{
 		CtxHygieneAnalyzer,
-		DeterminismAnalyzer,
 		DeterTaintAnalyzer,
 		ErrIsWrittenAnalyzer,
 		GoroLifetimeAnalyzer,

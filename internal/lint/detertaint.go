@@ -5,19 +5,24 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
-// DeterTaintAnalyzer upgrades the determinism rules to value-level
-// dataflow taint, tracked across function boundaries, over the same
-// source model (determinism.go). Sources are the three nondeterminism
-// wells of the serving tier: the wall clock
+// DeterTaintAnalyzer enforces the reproducibility contract: identical
+// options must produce byte-identical reports, traces and journals. It
+// tracks value-level dataflow taint, across function boundaries, from
+// the nondeterminism source model (determinism.go): the wall clock
 // (time.Now/Since/Until), the process-global math/rand generators, and
 // map iteration order. Sinks are the places where a nondeterministic
 // value breaks a replay or a byte-identity contract: journal/ledger
 // appends and record/codec encodes (internal/store, internal/gossip),
 // metric label values (internal/obs *Vec.With) and stdlib log event
-// lines. Taint propagates through assignments, composite literals,
-// struct fields, returns and arguments of static module-internal calls.
+// lines. In the simulation and codec packages (anyOutputPkg) every
+// output is a sink: fmt/log prints, Write* calls, and the results of
+// exported functions and methods, which callers outside the module
+// view (the cmds) turn into reports. Taint propagates through
+// assignments, composite literals, struct fields, returns and
+// arguments of static module-internal calls.
 //
 // Two breaks keep the sanctioned patterns clean. Interface calls never
 // return taint: the injected-Clock pattern routes wall time through an
@@ -26,20 +31,42 @@ import (
 // sort.*/slices.* call clears that taint — collect-then-sort is the
 // idiom this codebase uses everywhere. Integer += accumulation over a
 // map range stays clean too (commutative), unlike floats.
+//
+// Limit: only values are tracked, not control dependence. A clock read
+// or map-order value that reaches no sink is not a finding (so engine
+// self-cost timing needs no suppression), and neither is one that only
+// steers control flow — `if time.Since(t) > d { emit(x) }` or breaking
+// out of a map range at the first match changes what is emitted
+// without tainting the emitted value. The cross-run byte-identity
+// tests (TestOutputPins, TestExtDegradedCrossRunDeterminism) are what
+// catch that shape.
 var DeterTaintAnalyzer = &Analyzer{
 	Name: "detertaint",
 	Doc: "track wall-clock, global-rand and map-iteration-order taint through " +
-		"values and calls into journal writes, codec encodes, metric labels and event logs",
+		"values and calls into journal writes, codec encodes, metric labels, event logs " +
+		"and, in the simulation and codec packages, any output",
 	RunModule: runDeterTaint,
 	Applies: scopedTo("internal/gate", "internal/gossip", "internal/chaos",
-		"internal/serve", "internal/store", "internal/cluster"),
+		"internal/serve", "internal/store", "internal/cluster",
+		"internal/sim", "internal/piuma", "internal/spmm", "internal/faults", "internal/bench"),
 }
+
+// anyOutputPkg selects, by path segment, the simulation and codec
+// packages, where every print, Write* call and exported result is
+// output (so fixture packages can stand in for the real ones).
+var anyOutputPkg = scopedTo("sim", "piuma", "spmm", "faults", "bench", "store")
 
 // Taint kinds, also used in messages.
 const (
 	taintClock    = "wall clock"
 	taintRand     = "global rand"
 	taintMapOrder = "map iteration order"
+	// viaCaller suffixes a kind that entered a function through a
+	// parameter or receiver: a caller's nondeterminism, which that
+	// caller's own sinks report. The exported-result sink skips it, so
+	// one flow is reported once, where a suppression at the caller
+	// covers it.
+	viaCaller = " via a caller"
 )
 
 // taintSet maps taint kind to the source position that introduced it
@@ -70,6 +97,45 @@ func union(ts, src taintSet) taintSet {
 		}
 	}
 	return ts
+}
+
+// mapOrderKinds are the keys collect-then-sort and commutative
+// accumulation clear.
+var mapOrderKinds = [...]string{taintMapOrder, taintMapOrder + viaCaller}
+
+// sortedKinds lists ts's kinds in order, each own kind just before its
+// viaCaller form.
+func sortedKinds(ts taintSet) []string {
+	kinds := make([]string, 0, len(ts))
+	for k := range ts {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	return kinds
+}
+
+// own drops the viaCaller kinds.
+func own(ts taintSet) taintSet {
+	out := make(taintSet, len(ts))
+	for k, pos := range ts {
+		if !strings.HasSuffix(k, viaCaller) {
+			out[k] = pos
+		}
+	}
+	return out
+}
+
+// inherit marks argument taint as the callee parameter's viaCaller
+// taint (an own witness wins over an inherited one).
+func inherit(ts taintSet) taintSet {
+	out := make(taintSet, len(ts))
+	for _, k := range sortedKinds(ts) {
+		ik := strings.TrimSuffix(k, viaCaller) + viaCaller
+		if _, ok := out[ik]; !ok {
+			out[ik] = ts[k]
+		}
+	}
+	return out
 }
 
 // taintState is the module-wide fixpoint state.
@@ -152,7 +218,9 @@ func (st *taintState) transferAssign(fi *FuncInfo, as *ast.AssignStmt) {
 		if len(as.Lhs) == 1 && len(as.Rhs) == 1 {
 			ts := st.taintOf(fi, as.Rhs[0]).clone()
 			if !floatAccum(info, as) {
-				delete(ts, taintMapOrder)
+				for _, k := range mapOrderKinds {
+					delete(ts, k)
+				}
 			}
 			st.taintObj(lhsTarget(info, as.Lhs[0]), ts)
 		}
@@ -175,6 +243,13 @@ func (st *taintState) transferAssign(fi *FuncInfo, as *ast.AssignStmt) {
 }
 
 func (st *taintState) transferReturn(fi *FuncInfo, ret *ast.ReturnStmt) {
+	if ts := st.resultTaint(fi, ret); len(ts) > 0 {
+		st.ret[fi.Obj] = st.merge(st.ret[fi.Obj], ts)
+	}
+}
+
+// resultTaint is the taint of the values a return statement yields.
+func (st *taintState) resultTaint(fi *FuncInfo, ret *ast.ReturnStmt) taintSet {
 	var ts taintSet
 	if len(ret.Results) == 0 {
 		// Bare return: named results carry the value.
@@ -189,19 +264,20 @@ func (st *taintState) transferReturn(fi *FuncInfo, ret *ast.ReturnStmt) {
 	for _, r := range ret.Results {
 		ts = union(ts, st.taintOf(fi, r))
 	}
-	if len(ts) > 0 {
-		st.ret[fi.Obj] = st.merge(st.ret[fi.Obj], ts)
-	}
+	return ts
 }
 
-// transferCall propagates argument taint into the parameters of static
-// module-internal callees, and applies the collect-then-sort kill.
+// transferCall propagates argument taint, marked viaCaller, into the
+// parameters of static module-internal callees, and applies the
+// collect-then-sort kill.
 func (st *taintState) transferCall(fi *FuncInfo, call *ast.CallExpr) {
 	info := fi.Pkg.Info
 	for _, obj := range sortedObjects(info, call) {
-		if _, ok := st.obj[obj][taintMapOrder]; ok {
-			delete(st.obj[obj], taintMapOrder)
-			st.changed = true
+		for _, k := range mapOrderKinds {
+			if _, ok := st.obj[obj][k]; ok {
+				delete(st.obj[obj], k)
+				st.changed = true
+			}
 		}
 	}
 	callee := st.m.FuncInfo(StaticCallee(info, call))
@@ -220,13 +296,13 @@ func (st *taintState) transferCall(fi *FuncInfo, call *ast.CallExpr) {
 			idx = params.Len() - 1
 		}
 		if idx >= 0 && idx < params.Len() {
-			st.taintObj(params.At(idx), ts)
+			st.taintObj(params.At(idx), inherit(ts))
 		}
 	}
 	// Receiver taint flows into the method's receiver object.
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && callee.Decl.Recv != nil {
 		if recv := sig.Recv(); recv != nil {
-			st.taintObj(recv, st.taintOf(fi, sel.X))
+			st.taintObj(recv, inherit(st.taintOf(fi, sel.X)))
 		}
 	}
 }
@@ -325,27 +401,42 @@ func (st *taintState) taintOfCall(fi *FuncInfo, call *ast.CallExpr) taintSet {
 		}
 	}
 
-	// Static module-internal callee: use its return summary.
+	// Static module-internal callee: its return summary. A result that
+	// carries viaCaller taint depends on its inputs, so it also carries
+	// this call's input taint.
 	if fn := StaticCallee(info, call); fn != nil {
 		if callee := st.m.FuncInfo(fn); callee != nil {
-			return st.ret[callee.Obj]
+			ret := st.ret[callee.Obj]
+			for k := range ret {
+				if strings.HasSuffix(k, viaCaller) {
+					return union(union(nil, ret), st.inputTaint(fi, call))
+				}
+			}
+			return ret
 		}
 	}
 
 	// Conversions and remaining stdlib calls: conservative union of the
-	// receiver (for methods) and arguments — time.Time methods keep a
-	// wall-clock read tainted through UnixMilli() and friends.
+	// inputs — time.Time methods keep a wall-clock read tainted through
+	// UnixMilli() and friends.
+	ts := st.inputTaint(fi, call)
+	if _, isLit := ast.Unparen(call.Fun).(*ast.FuncLit); isLit {
+		return nil // immediately-invoked literal: treated as opaque
+	}
+	return ts
+}
+
+// inputTaint is the union of a call's receiver (for methods) and
+// argument taint.
+func (st *taintState) inputTaint(fi *FuncInfo, call *ast.CallExpr) taintSet {
 	var ts taintSet
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if s, ok := info.Selections[sel]; ok && s.Kind() == types.MethodVal {
+		if s, ok := fi.Pkg.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
 			ts = union(ts, st.taintOf(fi, sel.X))
 		}
 	}
 	for _, arg := range call.Args {
 		ts = union(ts, st.taintOf(fi, arg))
-	}
-	if _, isLit := ast.Unparen(call.Fun).(*ast.FuncLit); isLit {
-		return nil // immediately-invoked literal: treated as opaque
 	}
 	return ts
 }
@@ -401,27 +492,50 @@ func (st *taintState) reportSinks(p *ModulePass, fi *FuncInfo) {
 	info := fi.Pkg.Info
 	fset := fi.Pkg.Fset
 	report := func(pos token.Pos, ts taintSet, what string) {
-		kinds := make([]string, 0, len(ts))
-		for k := range ts {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		for _, kind := range kinds {
+		last := ""
+		for _, k := range sortedKinds(ts) {
+			kind := strings.TrimSuffix(k, viaCaller)
+			if kind == last {
+				continue // the own witness, sorted first, stands for both
+			}
+			last = kind
 			p.Reportf(pos, "value tainted by %s (at %s) reaches %s; make the input deterministic (injected clock, seeded rand, sorted iteration) before it is emitted",
-				kind, fset.Position(ts[kind]), what)
+				kind, fset.Position(ts[k]), what)
 		}
+	}
+	anyOutput := anyOutputPkg(fi.Pkg.Path, fi.Pkg.Types.Name())
+	if anyOutput && fi.Obj.Exported() {
+		what := "the result of exported " + funcDisplay(fi)
+		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false // its returns are the literal's, not fi's
+			case *ast.ReturnStmt:
+				if ts := own(st.resultTaint(fi, n)); len(ts) > 0 {
+					report(n.Pos(), ts, what)
+				}
+			}
+			return true
+		})
 	}
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		// Stdlib log lines are decision/event output.
-		if pkg, _, _ := outputCall(info, call); pkg == "log" {
+		// Stdlib log lines are decision/event output everywhere; in the
+		// simulation and codec packages so is every print and write.
+		if pkg, name, ok := outputCall(info, call); ok && (pkg == "log" || anyOutput) {
+			what := "an event-log line"
+			if pkg != "log" {
+				what = "the output of " + strings.TrimPrefix(pkg+"."+name, ".")
+			}
+			var ts taintSet
 			for _, arg := range call.Args {
-				if ts := st.taintOf(fi, arg); len(ts) > 0 {
-					report(call.Pos(), ts, "an event-log line")
-				}
+				ts = union(ts, st.taintOf(fi, arg))
+			}
+			if len(ts) > 0 {
+				report(call.Pos(), ts, what)
 			}
 			return true
 		}
@@ -436,11 +550,12 @@ func (st *taintState) reportSinks(p *ModulePass, fi *FuncInfo) {
 			}
 			return true
 		}
+		var ts taintSet
 		for _, arg := range call.Args {
-			ts := union(st.taintOf(fi, arg).clone(), st.structFieldTaints(info.TypeOf(arg)))
-			if len(ts) > 0 {
-				report(call.Pos(), ts, rule.what)
-			}
+			ts = union(union(ts, st.taintOf(fi, arg)), st.structFieldTaints(info.TypeOf(arg)))
+		}
+		if len(ts) > 0 {
+			report(call.Pos(), ts, rule.what)
 		}
 		return true
 	})

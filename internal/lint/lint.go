@@ -9,7 +9,7 @@
 // A finding can be suppressed with a directive on (or directly above)
 // the offending line:
 //
-//	//lint:ignore determinism reason why this is safe
+//	//lint:ignore detertaint reason why this is safe
 //
 // The analyzer list may name several analyzers separated by commas, or
 // "all". The reason is mandatory: a suppression without one is itself

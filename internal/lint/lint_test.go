@@ -181,9 +181,9 @@ func TestScopedToAndNotMain(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	a, err := ByName("determinism")
-	if err != nil || a.Name != "determinism" {
-		t.Errorf("ByName(determinism) = %v, %v", a, err)
+	a, err := ByName("detertaint")
+	if err != nil || a.Name != "detertaint" {
+		t.Errorf("ByName(detertaint) = %v, %v", a, err)
 	}
 	if _, err := ByName("nonexistent"); err == nil {
 		t.Error("ByName(nonexistent) did not fail")

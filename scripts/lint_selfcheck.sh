@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Self-check for the piumalint analyzers: run each analyzer over its
-# fixture package under internal/lint/testdata/src/<analyzer> and diff
-# the findings against the committed golden (expected.txt). A silently
+# fixture package under internal/lint/testdata/src/<analyzer> and the
+# fixture's subpackages, and diff the findings against the committed
+# golden (expected.txt). A silently
 # disabled or weakened analyzer produces an empty or shrunken diff and
 # fails here — the same invariant the golden tests enforce in-process,
 # but exercised through the real CLI binary and exit-code contract.
@@ -29,7 +30,7 @@ for dir in internal/lint/testdata/src/*/; do
   # strip that prefix so output matches the committed golden.
   absdir="$(cd "$dir" && pwd)"
   set +e
-  raw="$(cd "$absdir" && "$BIN" -analyzer "$name" .)"
+  raw="$(cd "$absdir" && "$BIN" -analyzer "$name" ./...)"
   status=$?
   set -e
   got="$(printf '%s\n' "$raw" | sed "s#$absdir/##g")"
@@ -55,8 +56,8 @@ for dir in internal/lint/testdata/src/*/; do
   name="$(basename "$dir")"
   absdir="$(cd "$dir" && pwd)"
   set +e
-  cold="$(cd "$absdir" && "$BIN" -cache "$cachedir" -analyzer "$name" .)"
-  warm="$(cd "$absdir" && "$BIN" -cache "$cachedir" -analyzer "$name" .)"
+  cold="$(cd "$absdir" && "$BIN" -cache "$cachedir" -analyzer "$name" ./...)"
+  warm="$(cd "$absdir" && "$BIN" -cache "$cachedir" -analyzer "$name" ./...)"
   set -e
   if [[ "$cold" != "$warm" ]]; then
     echo "FAIL $name: warm cache run differs from cold run" >&2
@@ -66,6 +67,34 @@ for dir in internal/lint/testdata/src/*/; do
     echo "ok   $name warm cache is byte-identical"
   fi
 done
+
+# Stale-cache guard: the key covers the analyzer code, not just the
+# analyzed sources. A second build of the same source with -trimpath
+# is a different executable, so over the fixtures the cache just
+# warmed it must miss and write entries of its own, not replay the
+# first build's findings.
+# (A -trimpath binary has no built-in GOROOT for the source importer.)
+go build -trimpath -o "$BIN.trimpath" ./cmd/piumalint
+goroot="$(go env GOROOT)"
+before="$(ls "$cachedir" | wc -l)"
+for dir in internal/lint/testdata/src/*/; do
+  name="$(basename "$dir")"
+  set +e
+  (cd "$dir" && GOROOT="$goroot" "$BIN.trimpath" -cache "$cachedir" -analyzer "$name" ./... >/dev/null)
+  status=$?
+  set -e
+  if [[ $status -ne 0 && $status -ne 1 ]]; then
+    echo "FAIL $name: trimpath piumalint exited $status" >&2
+    fail=1
+  fi
+done
+after="$(ls "$cachedir" | wc -l)"
+if (( after > before )); then
+  echo "ok   a rebuilt piumalint misses the warm cache ($((after - before)) new entries)"
+else
+  echo "FAIL a rebuilt piumalint replayed the previous build's cache entries" >&2
+  fail=1
+fi
 
 # The repo itself must be clean: every true positive is either fixed
 # or carries a reviewed //lint:ignore.
