@@ -30,15 +30,13 @@
 // content addresses and runs are journaled server-side, so the worst
 // case is a dedup or cache hit, never a duplicate simulation.
 //
-// Liveness: -markdown-after consecutive failed probes, a forwarded
-// request dying on the wire, or (with -gossip-interval) gossip moving
-// a replica to suspect or dead demotes it. Only a passing probe or a
-// submission it answers promotes it again, so with gossip on and
-// probing off (-probe-interval -1) a demoted replica stays down.
-// -breaker-threshold consecutive 5xx submit responses open its
-// circuit; the cooldown before the half-open trial follows the probe
-// backoff (-probe-interval, doubling per consecutive failure, capped
-// at 30s, seeded jitter).
+// Liveness: -markdown-after consecutive failed probes, or a forwarded
+// request dying on the wire, demotes a replica. Only a passing probe or
+// a submission it answers promotes it again. -breaker-threshold
+// consecutive 5xx submit responses open its circuit; the cooldown
+// before the half-open trial follows the probe backoff
+// (-probe-interval, doubling per consecutive failure, capped at 30s,
+// seeded jitter).
 package main
 
 import (
@@ -101,11 +99,7 @@ func main() {
 		brkThreshold  = flag.Int("breaker-threshold", 3, "consecutive 5xx submit responses that open a backend's circuit (its cooldown follows the probe backoff)")
 		chaosSpec     = flag.String("chaos", "", "client-side chaos schedule applied to the fan-out transport (chaos.Spec, e.g. 'seed=7;fault=reset,target=b1,at=2s,for=3s')")
 		dataDir       = flag.String("data-dir", "", "journal admitted runs to <dir>/intake.wal and recover ownership on restart (empty = stateless gate)")
-		fsync         = flag.String("fsync", "always", "intake-ledger fsync policy: always, interval, or never")
-		gossipEvery   = flag.Duration("gossip-interval", 0, "SWIM gossip protocol period (0 disables gossip)")
-		gossipTimeout = flag.Duration("gossip-timeout", time.Second, "per-gossip-exchange deadline")
-		suspectAfter  = flag.Int("suspect-after", 2, "consecutive failed gossip probe rounds before a replica is suspect")
-		deadAfter     = flag.Duration("dead-after", 10*time.Second, "unrefuted suspicion age before a replica is confirmed dead")
+		fsync         = flag.String("fsync", "always", "intake-ledger fsync policy: always or never")
 		reconcile     = flag.Duration("reconcile-interval", 5*time.Second, "anti-entropy sweep period over the intake ledger (requires -data-dir)")
 	)
 	flag.Var(quotas, "quota", "per-class admission quota as class=rate (repeatable; classes: gold, silver, bronze, batch)")
@@ -156,10 +150,6 @@ func main() {
 		HTTPClient:        hc,
 		DataDir:           *dataDir,
 		LedgerSync:        ledgerSync,
-		GossipInterval:    *gossipEvery,
-		GossipTimeout:     *gossipTimeout,
-		SuspectAfter:      *suspectAfter,
-		DeadAfter:         *deadAfter,
 		ReconcileInterval: *reconcile,
 	})
 	if err != nil {

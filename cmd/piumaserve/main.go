@@ -26,13 +26,16 @@
 // and HTTP listener have stopped (bounded by -shutdown-grace).
 //
 // With -data-dir the service is crash-safe: run state is journaled to
-// <dir>/runs.wal (fsync policy set by -fsync), completed sweep points
+// <dir>/runs.wal (-fsync always or never), completed sweep points
 // are persisted as they land, and a restart — graceful or kill -9 —
 // replays the journal: cached reports come back, and runs that were in
 // flight are requeued and resume past every persisted point. A corrupt
 // journal tail (torn write, bit rot) is quarantined to runs.wal.quarantine
 // and the service boots from the valid prefix. Without -data-dir the
 // service is fully in-memory, exactly as before.
+//
+// Behind piumagate (-replica names the replica), the gate's /healthz
+// probes and forwarded requests decide whether this replica is live.
 package main
 
 import (
@@ -44,35 +47,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"piumagcn/internal/chaos"
-	"piumagcn/internal/gossip"
 	"piumagcn/internal/serve"
 	"piumagcn/internal/store"
 )
-
-// peerFlag accumulates repeated -gossip-peer name=url flags.
-type peerFlag []gossip.Peer
-
-func (p *peerFlag) String() string {
-	parts := make([]string, 0, len(*p))
-	for _, peer := range *p {
-		parts = append(parts, peer.Name+"="+peer.Addr)
-	}
-	return strings.Join(parts, ",")
-}
-
-func (p *peerFlag) Set(v string) error {
-	name, addr, ok := strings.Cut(v, "=")
-	if !ok || strings.TrimSpace(name) == "" || strings.TrimSpace(addr) == "" {
-		return fmt.Errorf("want name=url, got %q", v)
-	}
-	*p = append(*p, gossip.Peer{Name: strings.TrimSpace(name), Addr: strings.TrimSuffix(strings.TrimSpace(addr), "/")})
-	return nil
-}
 
 func main() {
 	var (
@@ -83,15 +64,10 @@ func main() {
 		runTimeout = flag.Duration("run-timeout", 0, "per-run execution bound; expired runs report status \"timeout\" with a partial report (0 = unbounded)")
 		grace      = flag.Duration("shutdown-grace", 30*time.Second, "drain deadline after SIGTERM")
 		dataDir    = flag.String("data-dir", "", "journal run state here and recover it on restart (empty = in-memory only)")
-		fsync      = flag.String("fsync", "always", "journal fsync policy: always, interval, or never")
+		fsync      = flag.String("fsync", "always", "journal fsync policy: always or never")
 		replica    = flag.String("replica", "", "replica name stamped into the X-Piuma-Replica response header (for piumagate fan-out)")
 		chaosSpec  = flag.String("chaos", "", "server-side chaos schedule imposed on this replica's responses (chaos.Spec; windows match -replica or target=*)")
-		gossipAddr = flag.String("gossip-addr", "", "this replica's own base URL advertised to gossip peers (required with -gossip-peer)")
-		gossipTick = flag.Duration("gossip-interval", time.Second, "SWIM gossip protocol period")
-		gossipSeed = flag.Int64("gossip-seed", 1, "seed for gossip probe-target shuffling (reproducibility)")
 	)
-	peers := peerFlag{}
-	flag.Var(&peers, "gossip-peer", "gossip peer as name=url (repeatable; enables the SWIM membership agent)")
 	flag.Parse()
 
 	var st *store.Store
@@ -128,40 +104,6 @@ func main() {
 
 	handler := srv.Handler()
 
-	// SWIM membership agent: the replica probes its peers and refutes
-	// suspicions about itself. The gossip endpoint mounts on an outer
-	// mux so it rides the same listener — and, below, sits inside the
-	// chaos middleware, so a scheduled outage blinds gossip exactly
-	// like the data path.
-	var node *gossip.Node
-	if len(peers) > 0 {
-		if *replica == "" {
-			log.Fatalf("piumaserve: -gossip-peer requires -replica (the node's member name)")
-		}
-		if *gossipAddr == "" {
-			log.Fatalf("piumaserve: -gossip-peer requires -gossip-addr (this replica's advertised URL)")
-		}
-		var err error
-		node, err = gossip.NewNode(gossip.Config{
-			Name:      *replica,
-			Addr:      strings.TrimSuffix(*gossipAddr, "/"),
-			Peers:     peers,
-			Transport: &gossip.HTTPTransport{},
-			Seed:      *gossipSeed,
-			Interval:  *gossipTick,
-			OnEvent: func(e gossip.Event) {
-				log.Printf("piumaserve: gossip: %s is %s (incarnation %d)", e.Node, e.State, e.Incarnation)
-			},
-		})
-		if err != nil {
-			log.Fatalf("piumaserve: gossip: %v", err)
-		}
-		outer := http.NewServeMux()
-		outer.Handle("POST "+gossip.GossipPath, gossip.Handler(node))
-		outer.Handle("/", handler)
-		handler = outer
-	}
-
 	if *chaosSpec != "" {
 		spec, err := chaos.Parse(*chaosSpec)
 		if err != nil {
@@ -184,11 +126,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if node != nil {
-		go node.Run(ctx)
-		log.Printf("piumaserve: gossip agent %s up (%d peer(s), period %v)", *replica, len(peers), *gossipTick)
-	}
 
 	errc := make(chan error, 1)
 	go func() {

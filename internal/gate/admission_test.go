@@ -55,6 +55,22 @@ func TestUnknownQuotaClassRejected(t *testing.T) {
 	}
 }
 
+// TestQuotaClassErrorDeterministic: with several invalid quota classes,
+// New names the one that sorts first, every time, rather than whichever
+// one map iteration reaches first.
+func TestQuotaClassErrorDeterministic(t *testing.T) {
+	cfg := Config{
+		Backends:    []string{"http://127.0.0.1:1"},
+		ClassQuotas: map[string]float64{"platinum": 5, "gold": 1, "diamond": 2},
+	}
+	for i := 0; i < 64; i++ {
+		_, err := New(cfg)
+		if err == nil || !strings.Contains(err.Error(), `"diamond"`) {
+			t.Fatalf("call %d: want the error to name \"diamond\", got %v", i, err)
+		}
+	}
+}
+
 // TestAdmissionRateLimit drives the global token bucket over HTTP: the
 // burst admits, the next request gets 429 + Retry-After, and advancing
 // the virtual clock readmits — all without any backend being touched

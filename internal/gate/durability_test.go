@@ -8,27 +8,24 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"piumagcn/internal/bench"
-	"piumagcn/internal/gossip"
 	"piumagcn/internal/serve"
 )
 
 // statefulBackend is a fake replica with real run state: submissions
 // are stored under the same content-addressed RunID the gate computes,
 // GET /v1/runs enumerates them, DELETE removes them — enough surface
-// for the anti-entropy reconciler to diff against. An optional gossip
-// node (late-bound, so peers can reference each other's URLs) answers
-// /v1/gossip.
+// for the anti-entropy reconciler to diff against.
 type statefulBackend struct {
 	ts *httptest.Server
 
 	mu   sync.Mutex
 	runs map[string]string // run ID → status
-	node *gossip.Node
 }
 
 func newStatefulBackend(t *testing.T) *statefulBackend {
@@ -88,28 +85,12 @@ func newStatefulBackend(t *testing.T) *statefulBackend {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprint(w, `{}`)
 	})
-	mux.HandleFunc("POST "+gossip.GossipPath, func(w http.ResponseWriter, r *http.Request) {
-		b.mu.Lock()
-		node := b.node
-		b.mu.Unlock()
-		if node == nil {
-			w.WriteHeader(http.StatusNotFound)
-			return
-		}
-		gossip.Handler(node).ServeHTTP(w, r)
-	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "piumaserve_queue_depth 0\n")
 	})
 	b.ts = httptest.NewServer(mux)
 	t.Cleanup(b.ts.Close)
 	return b
-}
-
-func (b *statefulBackend) setNode(n *gossip.Node) {
-	b.mu.Lock()
-	b.node = n
-	b.mu.Unlock()
 }
 
 // setAll moves every held run to status.
@@ -211,8 +192,8 @@ func TestReconcilerRehomesOrphanedRuns(t *testing.T) {
 	}
 
 	// Permanent loss: the process dies and never comes back. The gate
-	// notices via a transport error (gossip confirmation is exercised in
-	// the determinism test below).
+	// notices via a transport error (probe-driven demotion is exercised
+	// in the determinism test below).
 	victim.ts.Close()
 	g.reg.observe(victimRep, transportError)
 
@@ -312,54 +293,25 @@ func TestGateRestartReplaysAdmission(t *testing.T) {
 }
 
 // durabilityScenario drives a full cluster-durability episode under an
-// injected clock and fixed seeds: gossip converges on a healthy
-// cluster, one replica dies permanently, suspicion confirms the death,
-// the reconciler re-homes the orphan, and the survivors finish the
-// work. It returns the membership log, the reconcile-decision log and
-// the final /metrics exposition for byte comparison.
-func durabilityScenario(t *testing.T) (membership, decisions, exposition []byte) {
+// injected clock and fixed seeds: one replica dies permanently, the
+// gate's probe rounds demote it, the reconciler re-homes the orphan,
+// and the survivors finish the work. It returns the reconcile-decision
+// log and the final /metrics exposition for byte comparison.
+func durabilityScenario(t *testing.T) (decisions, exposition []byte) {
 	t.Helper()
 	backends := []*statefulBackend{newStatefulBackend(t), newStatefulBackend(t), newStatefulBackend(t)}
 	urls := []string{backends[0].ts.URL, backends[1].ts.URL, backends[2].ts.URL}
 	clock := newFixedClock()
 
-	// Replica-side gossip agents: each node is named like its registry
-	// entry and peers with the other replicas, exactly as cmd/piumaserve
-	// wires it.
-	for i, b := range backends {
-		peers := make([]gossip.Peer, 0, 2)
-		for j := range backends {
-			if j != i {
-				peers = append(peers, gossip.Peer{Name: fmt.Sprintf("b%d", j), Addr: urls[j]})
-			}
-		}
-		node, err := gossip.NewNode(gossip.Config{
-			Name:      fmt.Sprintf("b%d", i),
-			Addr:      urls[i],
-			Peers:     peers,
-			Transport: &gossip.HTTPTransport{},
-			Clock:     clock,
-			Seed:      100 + int64(i),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.setNode(node)
-	}
-
-	var events []gossip.Event
 	var rcs []ReconcileDecision
 	g := mustGate(t, Config{
 		Backends:          urls,
 		Seed:              5,
 		ProbeInterval:     -1,
-		GossipInterval:    -1,
-		SuspectAfter:      2,
-		DeadAfter:         3 * time.Second,
+		MarkDownAfter:     2,
 		ReconcileInterval: -1,
 		Clock:             clock,
 		DataDir:           t.TempDir(),
-		OnMembership:      func(e gossip.Event) { events = append(events, e) },
 		OnReconcile:       func(d ReconcileDecision) { rcs = append(rcs, d) },
 	})
 	h := g.Handler()
@@ -373,33 +325,25 @@ func durabilityScenario(t *testing.T) (membership, decisions, exposition []byte)
 		}
 	}
 
-	// Steady state: a few protocol periods with everyone alive.
+	// Steady state: a few probe rounds with everyone passing.
+	b2 := g.Registry().All()[2]
 	for i := 0; i < 3; i++ {
-		g.GossipTick(ctx)
+		g.ProbeAll(ctx)
 		clock.Advance(time.Second)
 	}
-	// b2 dies for good (kill -9, never restarted).
+	if !b2.Healthy() {
+		t.Fatal("b2 demoted while it answered every probe")
+	}
+	// b2 dies for good (kill -9, never restarted). One virtual second
+	// per round covers the first failure's backoff, so the second
+	// round's probe is due and MarkDownAfter=2 demotes b2 there.
 	backends[2].ts.Close()
-	deadRounds := 0
-	for i := 0; i < 40; i++ {
-		g.GossipTick(ctx)
+	for i := 1; i <= 2; i++ {
+		g.ProbeAll(ctx)
 		clock.Advance(time.Second)
-		dead := false
-		for _, u := range g.Gossip().View() {
-			if u.Node == "b2" && u.State == gossip.StateDead {
-				dead = true
-			}
+		if up := b2.Healthy(); up != (i < 2) {
+			t.Fatalf("after %d failed probe rounds: b2 healthy=%v, want %v", i, up, i < 2)
 		}
-		if dead {
-			deadRounds = i + 1
-			break
-		}
-	}
-	if deadRounds == 0 {
-		t.Fatalf("b2 never confirmed dead (membership: %+v)", events)
-	}
-	if g.Registry().All()[2].Healthy() {
-		t.Fatal("registry still routes to the gossip-confirmed-dead b2")
 	}
 
 	// Anti-entropy: the orphan re-homes, the survivors finish, the
@@ -416,49 +360,47 @@ func durabilityScenario(t *testing.T) (membership, decisions, exposition []byte)
 		t.Fatalf("survivors hold %d runs, want all 4 exactly once", total)
 	}
 
-	mj, err := json.Marshal(events)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dj, err := json.Marshal(rcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mj, dj, []byte(metricsBody(t, h))
+	return dj, []byte(metricsBody(t, h))
 }
 
-// TestClusterDurabilityDeterministic is the tentpole's determinism
-// contract: the same scripted episode — submissions, gossip
-// convergence, a permanent replica death, suspicion, confirmation,
-// re-homing, completion — replayed under the same seeds and injected
-// clock produces a byte-identical membership log, a byte-identical
-// reconcile-decision log and byte-identical gate /metrics.
+// TestClusterDurabilityDeterministic is the cluster-durability
+// determinism contract: the same scripted episode — submissions, a
+// permanent replica death, probe-driven demotion, re-homing, completion
+// — replayed under the same seeds and injected clock produces a
+// byte-identical reconcile-decision log and byte-identical gate
+// /metrics.
 func TestClusterDurabilityDeterministic(t *testing.T) {
-	m1, d1, x1 := durabilityScenario(t)
-	m2, d2, x2 := durabilityScenario(t)
-	if string(m1) != string(m2) {
-		t.Errorf("membership logs differ:\n%s\nvs\n%s", m1, m2)
-	}
+	d1, x1 := durabilityScenario(t)
+	d2, x2 := durabilityScenario(t)
 	if string(d1) != string(d2) {
 		t.Errorf("reconcile logs differ:\n%s\nvs\n%s", d1, d2)
 	}
 	if string(x1) != string(x2) {
 		t.Errorf("/metrics differ across identical episodes:\n%s\nvs\n%s", x1, x2)
 	}
-	var events []gossip.Event
-	if err := json.Unmarshal(m1, &events); err != nil {
+	var rcs []ReconcileDecision
+	if err := json.Unmarshal(d1, &rcs); err != nil {
 		t.Fatal(err)
 	}
-	// The episode must actually exercise the lifecycle: b2 goes suspect
-	// and then dead, in that order.
-	var states []string
-	for _, e := range events {
-		if e.Node == "b2" {
-			states = append(states, e.State)
+	// The episode must actually exercise re-homing: b2's orphan moves
+	// to a survivor.
+	rehomed := 0
+	for _, d := range rcs {
+		if d.Action == ReconcileRehome {
+			rehomed++
+			if d.Backend == "b2" {
+				t.Fatalf("orphan re-homed onto the dead b2: %+v", d)
+			}
 		}
 	}
-	want := []string{"suspect", "dead"}
-	if len(states) != len(want) || states[0] != want[0] || states[1] != want[1] {
-		t.Fatalf("b2 membership states = %v, want %v", states, want)
+	if rehomed != 1 {
+		t.Fatalf("%d rehome decisions, want 1 (log: %s)", rehomed, d1)
+	}
+	if !strings.Contains(string(x1), `piumagate_backend_probe_failures_total{backend="b2"} 2`) {
+		t.Fatalf("/metrics does not count b2's two failed probes:\n%s", x1)
 	}
 }

@@ -7,11 +7,10 @@
 // The moving parts:
 //
 //	Registry  — the replica set and one liveness record per replica:
-//	            health probes, forwarded requests and gossip suspicion
-//	            all change it through one transition function
-//	            (observe). Gossip demotes, but only a probe or an
-//	            answered submission promotes, so with probing off and
-//	            gossip on a demoted replica stays down. The open
+//	            health probes and forwarded requests both change it
+//	            through one transition function (observe). Failed
+//	            probes and transport errors demote; only a passing
+//	            probe or an answered submission promotes. The open
 //	            circuit's cooldown follows the probe backoff.
 //	Router    — pluggable routing policies behind one interface:
 //	            round-robin (pure function of the request sequence)
@@ -38,11 +37,11 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"piumagcn/internal/gossip"
 	"piumagcn/internal/serve"
 	"piumagcn/internal/store"
 )
@@ -93,7 +92,7 @@ type Config struct {
 	Seed int64
 	// ProbeInterval is the health-probe period (default 1s; negative
 	// disables the background probe loop — health then changes only
-	// through forwarded requests, gossip and explicit ProbeAll calls,
+	// through forwarded requests and explicit ProbeAll calls,
 	// which is what deterministic tests use). It is also the base of the
 	// backoff schedule: a failing replica's next probe and an open
 	// circuit's cooldown both start at one interval and double per
@@ -105,11 +104,8 @@ type Config struct {
 	// MarkDownAfter is how many consecutive probe failures demote a
 	// replica to unhealthy (default 2) — hysteresis so one probe lost to
 	// a latency spike does not flap routing or move consistent-hash
-	// keys. A forwarded request dying on the wire, or gossip moving
-	// the replica to suspect or dead, demotes at once. Only a passing
-	// probe or a submission answered below 500 promotes: gossip never
-	// does, so with probing off and gossip on a demoted replica stays
-	// down.
+	// keys. A forwarded request dying on the wire demotes at once. Only
+	// a passing probe or a submission answered below 500 promotes.
 	MarkDownAfter int
 	// BreakerThreshold is how many consecutive 5xx submit responses open
 	// a backend's circuit (default 3). The open circuit's cooldown
@@ -149,22 +145,6 @@ type Config struct {
 	// LedgerSync is the intake ledger's fsync policy (default
 	// store.SyncAlways: an admitted run acknowledged is a run on disk).
 	LedgerSync store.SyncPolicy
-	// GossipInterval enables SWIM-style replica gossip: positive runs
-	// the background protocol loop at this period, negative builds the
-	// gossip node but leaves ticking to explicit GossipTick calls
-	// (deterministic tests), zero disables gossip entirely. With gossip
-	// on, a replica's move to suspect or dead demotes it (the suspicion
-	// thresholds below are gossip's own hysteresis). Gossip never
-	// promotes a replica; probes do.
-	GossipInterval time.Duration
-	// GossipTimeout bounds one gossip exchange (default 1s).
-	GossipTimeout time.Duration
-	// SuspectAfter is how many consecutive failed gossip probe rounds
-	// make a replica suspect (default 2).
-	SuspectAfter int
-	// DeadAfter is how long a suspicion may stand unrefuted before the
-	// replica is confirmed dead (default 10s).
-	DeadAfter time.Duration
 	// ReconcileInterval drives the anti-entropy reconciler when a
 	// ledger exists: positive runs the background sweep at this period,
 	// negative leaves sweeping to explicit ReconcileOnce calls, zero
@@ -174,9 +154,6 @@ type Config struct {
 	// synchronously in decision order — the reconciler's determinism
 	// contract.
 	OnReconcile func(ReconcileDecision)
-	// OnMembership, when non-nil, observes every gossip membership
-	// transition synchronously in emission order.
-	OnMembership func(gossip.Event)
 }
 
 func (c Config) withDefaults() Config {
@@ -204,15 +181,6 @@ func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = wallClock{}
 	}
-	if c.GossipTimeout <= 0 {
-		c.GossipTimeout = time.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 2
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 10 * time.Second
-	}
 	if c.ReconcileInterval == 0 {
 		c.ReconcileInterval = 5 * time.Second
 	}
@@ -230,10 +198,8 @@ type Gate struct {
 	clock   Clock
 	hc      *http.Client
 
-	// ledger is the durable intake book (nil without DataDir); node is
-	// the gate's gossip participant (nil without GossipInterval).
+	// ledger is the durable intake book (nil without DataDir).
 	ledger *store.IntakeLedger
-	node   *gossip.Node
 
 	seq   atomic.Uint64
 	rcSeq atomic.Uint64 // reconcile-decision sequence
@@ -252,7 +218,14 @@ func New(cfg Config) (*Gate, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("gate: at least one backend is required")
 	}
+	// Check the classes in sorted order, so a config with several bad
+	// classes always names the same one.
+	classes := make([]string, 0, len(cfg.ClassQuotas))
 	for class := range cfg.ClassQuotas {
+		classes = append(classes, class)
+	}
+	sort.Strings(classes)
+	for _, class := range classes {
 		if !validQuotaClass(class) {
 			return nil, fmt.Errorf("gate: unknown quota class %q (valid: gold, silver, bronze, batch)", class)
 		}
@@ -293,23 +266,10 @@ func New(cfg Config) (*Gate, error) {
 		}
 		m.setLedgerOpen(float64(ledger.NonTerminalLen()))
 	}
-	if cfg.GossipInterval != 0 {
-		node, err := g.newGossipNode()
-		if err != nil {
-			stop()
-			g.closeLedger()
-			return nil, err
-		}
-		g.node = node
-	}
 	if cfg.ProbeInterval > 0 {
 		g.probed.Store(true)
 		g.wg.Add(1)
 		go g.probeLoop(ctx)
-	}
-	if cfg.GossipInterval > 0 {
-		g.wg.Add(1)
-		go g.gossipLoop(ctx)
 	}
 	if g.ledger != nil && cfg.ReconcileInterval > 0 {
 		g.wg.Add(1)
@@ -340,21 +300,6 @@ func (g *Gate) probeLoop(ctx context.Context) {
 			return
 		case <-t.C:
 			g.reg.ProbeAll(ctx)
-		}
-	}
-}
-
-// gossipLoop drives gossip protocol periods until Shutdown.
-func (g *Gate) gossipLoop(ctx context.Context) {
-	defer g.wg.Done()
-	t := time.NewTicker(g.cfg.GossipInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			g.GossipTick(ctx)
 		}
 	}
 }
@@ -409,7 +354,7 @@ func (g *Gate) closeLedger() {
 	g.ledger.Close()
 }
 
-// Shutdown stops the probe, gossip and reconcile loops and closes the
+// Shutdown stops the probe and reconcile loops and closes the
 // intake ledger. In-flight proxied requests are not interrupted — the
 // HTTP server draining them is the caller's job.
 func (g *Gate) Shutdown() {

@@ -50,17 +50,15 @@ const (
 	submit5xx                     // a claimed submission was answered 5xx
 	noVerdict                     // a claimed submission ended without judging the replica
 	transportError                // a forwarded request died on the wire
-	gossipDown                    // the gossip view moved the replica to suspect or dead
 )
 
 // liveness is one replica's health record, guarded by Replica.mu and
 // written only by Registry.observe. It keeps two verdicts:
 //
 //   - reachable: is the process there at all. MarkDownAfter
-//     consecutive failed probes demote it; a transport error or a
-//     gossip suspect/dead demotes it at once. Only a passing probe or a
-//     submission answered below 500 promotes it, so gossip can demote
-//     a replica but never undo a probe's or a forward's verdict.
+//     consecutive failed probes demote it; a transport error demotes
+//     it at once. Only a passing probe or a submission answered below
+//     500 promotes it.
 //   - serving: the circuit. BreakerThreshold consecutive 5xx
 //     submissions open it; once the cooldown passes, one trial
 //     submission runs half-open and its outcome closes or re-opens it.
@@ -116,8 +114,6 @@ func (reg *Registry) observe(r *Replica, o outcome) bool {
 		if o == transportError {
 			l.reachable, l.trial = false, false
 		}
-	case gossipDown:
-		l.reachable = false
 	case claim:
 		granted = l.admits(now)
 		if granted && l.circuit != BreakerClosed {

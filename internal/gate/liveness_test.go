@@ -8,26 +8,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"piumagcn/internal/gossip"
 )
 
-// gossipReplica is a fake replica whose gossip agent, named name,
-// always answers /v1/gossip. /healthz answers healthzCode, and POST
-// /v1/runs hangs up without a response, which the gate sees as a
-// transport error.
-func gossipReplica(t *testing.T, name string, clock *fixedClock, healthzCode int) *httptest.Server {
+// fakeReplica is a fake replica whose /healthz answers healthzCode and
+// whose POST /v1/runs hangs up without a response, which the gate sees
+// as a transport error.
+func fakeReplica(t *testing.T, healthzCode int) *httptest.Server {
 	t.Helper()
-	node, err := gossip.NewNode(gossip.Config{
-		Name:      name,
-		Peers:     []gossip.Peer{{Name: gateNodeName, Addr: "http://127.0.0.1:1"}},
-		Transport: &gossip.HTTPTransport{},
-		Clock:     clock,
-		Seed:      1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(healthzCode)
@@ -37,39 +24,36 @@ func gossipReplica(t *testing.T, name string, clock *fixedClock, healthzCode int
 			conn.Close()
 		}
 	})
-	mux.Handle("POST "+gossip.GossipPath, gossip.Handler(node))
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts
 }
 
-// TestGossipDoesNotUndoDemotion: gossip can demote a replica but never
-// promote one. A draining replica keeps its gossip agent answering
-// while its /healthz fails, so a gossip "alive" must not reset the
-// probe streak: MarkDownAfter failed probes demote it even with a
-// gossip round between every probe. Likewise a transport-error
-// demotion survives the next gossip round.
-func TestGossipDoesNotUndoDemotion(t *testing.T) {
+// TestProbesAndForwardsDecideLiveness: the gate's own probes and
+// forwards are what demote a replica. A replica whose /healthz fails
+// (a draining piumaserve) is demoted after MarkDownAfter probes, not
+// before; a replica that passes every probe stays up; and a forwarded
+// submission dying on the wire demotes at once without touching the
+// circuit, because a transport error is not a 5xx.
+func TestProbesAndForwardsDecideLiveness(t *testing.T) {
 	clock := newFixedClock()
-	draining := gossipReplica(t, "b0", clock, http.StatusServiceUnavailable)
-	cut := gossipReplica(t, "b1", clock, http.StatusOK)
+	draining := fakeReplica(t, http.StatusServiceUnavailable)
+	cut := fakeReplica(t, http.StatusOK)
 	g := mustGate(t, Config{
-		Backends:       []string{draining.URL, cut.URL},
-		Policy:         PolicyRoundRobin,
-		Seed:           1,
-		ProbeInterval:  -1,
-		GossipInterval: -1,
-		MarkDownAfter:  2,
-		Clock:          clock,
+		Backends:      []string{draining.URL, cut.URL},
+		Policy:        PolicyRoundRobin,
+		Seed:          1,
+		ProbeInterval: -1,
+		MarkDownAfter: 2,
+		Clock:         clock,
 	})
 	ctx := context.Background()
 	b0, b1 := g.Registry().All()[0], g.Registry().All()[1]
 
 	for i := 1; i <= 6; i++ {
 		g.ProbeAll(ctx)
-		g.GossipTick(ctx)
 		if up := b0.Healthy(); up != (i < 2) {
-			t.Fatalf("after %d failed probes with gossip between them: healthy=%v fails=%d, want healthy=%v",
+			t.Fatalf("after %d failed probes: healthy=%v fails=%d, want healthy=%v",
 				i, up, b0.Fails(), i < 2)
 		}
 		clock.Advance(time.Minute) // past any probe backoff
@@ -78,19 +62,12 @@ func TestGossipDoesNotUndoDemotion(t *testing.T) {
 		t.Fatal("b1 passed every probe but is down")
 	}
 
-	// b1's submission dies on the wire: demoted at once, and the next
-	// gossip round (b1's agent still answers) leaves it down.
+	// b1's submission dies on the wire: demoted at once, breaker closed.
 	if rec := postRun(t, g.Handler(), submitBody(1), nil); rec.Code != http.StatusBadGateway {
 		t.Fatalf("submit to a hung-up replica: status %d: %s", rec.Code, rec.Body.String())
 	}
 	if b1.Healthy() {
 		t.Fatal("a transport error must demote at once")
-	}
-	for i := 0; i < 3; i++ {
-		g.GossipTick(ctx)
-		if b1.Healthy() {
-			t.Fatalf("gossip round %d promoted b1 after its transport-error demotion", i)
-		}
 	}
 	if st := b1.BreakerState(); st != BreakerClosed {
 		t.Fatalf("b1 breaker = %q, want closed (a transport error is not a 5xx)", st)

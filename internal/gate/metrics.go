@@ -40,12 +40,10 @@ type metrics struct {
 	serverErrRetries *obs.Counter    // submissions resubmitted after a backend 5xx
 	deadlineExceeded *obs.Counter    // requests refused/stopped with the budget spent
 
-	// Durable intake, gossip membership and anti-entropy
-	// reconciliation (the cluster-durability machinery).
+	// Durable intake and anti-entropy reconciliation (the
+	// cluster-durability machinery).
 	ledgerOpen     *obs.Gauge      // non-terminal runs in the intake ledger
 	ledgerErrors   *obs.Counter    // intake-ledger append failures
-	gossipEvents   *obs.CounterVec // membership transitions, by backend and state
-	memberState    *obs.GaugeVec   // gossiped state (0 alive, 1 suspect, 2 dead), by backend
 	reconSweeps    *obs.Counter    // anti-entropy sweeps run
 	reconFetchErrs *obs.Counter    // replica run listings that failed mid-sweep
 	reconDecisions *obs.CounterVec // reconcile decisions, by action
@@ -104,10 +102,6 @@ func newMetrics() *metrics {
 			"Non-terminal runs in the durable intake ledger (accepted but not yet observed terminal)."),
 		ledgerErrors: reg.Counter("piumagate_intake_ledger_errors_total",
 			"Intake-ledger append failures."),
-		gossipEvents: reg.CounterVec("piumagate_gossip_events_total",
-			"Gossip membership transitions, by backend and new state.", "backend", "state"),
-		memberState: reg.GaugeVec("piumagate_gossip_member_state",
-			"Gossiped member state per backend (0 alive, 1 suspect, 2 dead).", "backend"),
 		reconSweeps: reg.Counter("piumagate_reconcile_sweeps_total",
 			"Anti-entropy reconciliation sweeps run."),
 		reconFetchErrs: reg.Counter("piumagate_reconcile_fetch_errors_total",
@@ -235,24 +229,6 @@ func (m *metrics) incRecovered(backend string)    { m.recoveries.With(backend).I
 
 func (m *metrics) setLedgerOpen(v float64) { m.ledgerOpen.Set(v) }
 func (m *metrics) incLedgerError()         { m.ledgerErrors.Inc() }
-
-// observeGossipEvent counts one membership transition. The state label
-// is normalized onto the gossip state vocabulary through constant
-// switch arms; backend comes from the registry's fixed name set.
-func (m *metrics) observeGossipEvent(backend, state string) {
-	switch state {
-	case "alive":
-		m.gossipEventInc(backend, "alive")
-	case "suspect":
-		m.gossipEventInc(backend, "suspect")
-	case "dead":
-		m.gossipEventInc(backend, "dead")
-	}
-}
-
-func (m *metrics) gossipEventInc(backend, state string) { m.gossipEvents.With(backend, state).Inc() }
-
-func (m *metrics) setMemberState(backend string, v float64) { m.memberState.With(backend).Set(v) }
 
 func (m *metrics) incReconcileSweep()      { m.reconSweeps.Inc() }
 func (m *metrics) incReconcileFetchError() { m.reconFetchErrs.Inc() }

@@ -147,17 +147,6 @@ func NewRegistry(cfg Config, m *metrics) (*Registry, error) {
 // All returns every replica in registration order.
 func (reg *Registry) All() []*Replica { return reg.replicas }
 
-// find resolves a replica by name (nil when unknown). The replica set
-// is small and fixed, so a linear scan beats a map's bookkeeping.
-func (reg *Registry) find(name string) *Replica {
-	for _, r := range reg.replicas {
-		if r.Name == name {
-			return r
-		}
-	}
-	return nil
-}
-
 // Healthy returns the healthy replicas in registration order.
 func (reg *Registry) Healthy() []*Replica {
 	out := make([]*Replica, 0, len(reg.replicas))

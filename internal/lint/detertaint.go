@@ -15,7 +15,7 @@ import (
 // (time.Now/Since/Until), the process-global math/rand generators, and
 // map iteration order. Sinks are the places where a nondeterministic
 // value breaks a replay or a byte-identity contract: journal/ledger
-// appends and record/codec encodes (internal/store, internal/gossip),
+// appends and record encodes (internal/store),
 // metric label values (internal/obs *Vec.With) and stdlib log event
 // lines. In the simulation and codec packages (anyOutputPkg) every
 // output is a sink: fmt/log prints, Write* calls, and the results of
@@ -46,7 +46,7 @@ var DeterTaintAnalyzer = &Analyzer{
 		"values and calls into journal writes, codec encodes, metric labels, event logs " +
 		"and, in the simulation and codec packages, any output",
 	RunModule: runDeterTaint,
-	Applies: scopedTo("internal/gate", "internal/gossip", "internal/chaos",
+	Applies: scopedTo("internal/gate", "internal/chaos",
 		"internal/serve", "internal/store", "internal/cluster",
 		"internal/sim", "internal/piuma", "internal/spmm", "internal/faults", "internal/bench"),
 }
@@ -480,7 +480,6 @@ var deterTaintSinks = []sinkRule{
 	{seg: "store", recv: "Record", name: "Encode", what: "a record encode", recvSink: true},
 	{seg: "store", recv: "IntakeRecord", name: "Encode", what: "an intake-record encode", recvSink: true},
 	{seg: "store", recv: "", name: "AppendFrame", what: "a journal frame"},
-	{seg: "gossip", recv: "", name: "Encode", what: "the gossip codec"},
 	{seg: "obs", recv: "CounterVec", name: "With", what: "a metric label"},
 	{seg: "obs", recv: "GaugeVec", name: "With", what: "a metric label"},
 	{seg: "obs", recv: "HistogramVec", name: "With", what: "a metric label"},

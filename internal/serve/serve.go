@@ -49,7 +49,7 @@ var (
 
 // Clock abstracts wall time so run lifecycle timestamps — which are
 // journaled and surfaced in RunViews — can be pinned by tests and
-// deterministic harnesses (mirrors gate.Clock and gossip.Clock).
+// deterministic harnesses (mirrors gate.Clock).
 type Clock interface {
 	Now() time.Time
 }

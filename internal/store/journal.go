@@ -40,9 +40,6 @@ const (
 	// beyond it is treated as corruption, which stops a flipped length
 	// byte from making the scanner attempt a gigabyte allocation.
 	MaxRecordBytes = 16 << 20
-	// syncIntervalBytes is how many appended bytes SyncInterval lets
-	// accumulate before forcing an fsync.
-	syncIntervalBytes = 64 << 10
 )
 
 // castagnoli is the CRC32C polynomial table (the same checksum family
@@ -56,10 +53,6 @@ const (
 	// SyncAlways fsyncs after every append: a record acknowledged is a
 	// record on disk, at the cost of one fsync per state transition.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs once at least syncIntervalBytes have been
-	// appended since the last sync (and on Sync/Close). A crash can lose
-	// the most recent unsynced window, never previously synced records.
-	SyncInterval
 	// SyncNever leaves flushing to the OS page cache entirely.
 	SyncNever
 )
@@ -69,20 +62,16 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "always":
 		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
 	case "never":
 		return SyncNever, nil
 	}
-	return 0, fmt.Errorf(`store: unknown fsync policy %q (valid: "always", "interval", "never")`, s)
+	return 0, fmt.Errorf(`store: unknown fsync policy %q (valid: "always", "never")`, s)
 }
 
 func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncInterval:
-		return "interval"
 	case SyncNever:
 		return "never"
 	}
@@ -157,13 +146,8 @@ func (j *Journal) Append(payload []byte) error {
 	}
 	j.size += int64(len(frame))
 	j.unsynced += int64(len(frame))
-	switch j.policy {
-	case SyncAlways:
+	if j.policy == SyncAlways {
 		return j.syncLocked()
-	case SyncInterval:
-		if j.unsynced >= syncIntervalBytes {
-			return j.syncLocked()
-		}
 	}
 	return nil
 }

@@ -141,27 +141,10 @@ func TestSyncPolicies(t *testing.T) {
 			t.Fatalf("explicit sync: err=%v syncs=%d", err, sink.syncs)
 		}
 	})
-	t.Run("interval", func(t *testing.T) {
-		sink := &memSink{failAfter: -1}
-		j := NewJournal(sink, SyncInterval)
-		big := make([]byte, syncIntervalBytes/2)
-		if err := j.Append(big); err != nil {
-			t.Fatal(err)
-		}
-		if sink.syncs != 0 {
-			t.Fatal("interval policy synced below the threshold")
-		}
-		if err := j.Append(big); err != nil {
-			t.Fatal(err)
-		}
-		if sink.syncs != 1 {
-			t.Fatalf("interval policy synced %d times past the threshold, want 1", sink.syncs)
-		}
-	})
 }
 
 func TestParseSyncPolicy(t *testing.T) {
-	for _, name := range []string{"always", "interval", "never"} {
+	for _, name := range []string{"always", "never"} {
 		p, err := ParseSyncPolicy(name)
 		if err != nil {
 			t.Fatalf("ParseSyncPolicy(%q): %v", name, err)
@@ -170,8 +153,10 @@ func TestParseSyncPolicy(t *testing.T) {
 			t.Fatalf("ParseSyncPolicy(%q).String() = %q", name, p.String())
 		}
 	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Fatal("bogus policy accepted")
+	for _, bogus := range []string{"sometimes", "interval"} {
+		if _, err := ParseSyncPolicy(bogus); err == nil {
+			t.Fatalf("bogus policy %q accepted", bogus)
+		}
 	}
 }
 

@@ -26,10 +26,10 @@
 # Paired mode takes package directories, not patterns such as ./... .
 #
 # Usage: scripts/bench_trend.sh [-count N] [-paired REV] [packages...]
-#        (default packages: the load-generator, store, gossip-codec,
-#        gate-submit, serve hit/miss and lint hot paths, the
-#        simulation engine and the simulated kernels, plus graph
-#        generation: rmat sampling, the CSR build and ogb.Generate)
+#        (default packages: the load-generator, store, gate-submit,
+#        serve hit/miss and lint hot paths, the simulation engine and
+#        the simulated kernels, plus graph generation: rmat sampling,
+#        the CSR build and ogb.Generate)
 set -euo pipefail
 
 COUNT=5
@@ -58,7 +58,7 @@ cd "$(dirname "$0")/.."
 OUT="BENCH_TREND.json"
 PKGS=("$@")
 if [ ${#PKGS[@]} -eq 0 ]; then
-    PKGS=(./internal/workload/ ./internal/store/ ./internal/gossip/ ./internal/gate/ ./internal/serve/ ./internal/lint/ ./internal/sim/ ./internal/piuma/kernels/ ./internal/rmat/ ./internal/graph/ ./internal/ogb/)
+    PKGS=(./internal/workload/ ./internal/store/ ./internal/gate/ ./internal/serve/ ./internal/lint/ ./internal/sim/ ./internal/piuma/kernels/ ./internal/rmat/ ./internal/graph/ ./internal/ogb/)
 fi
 
 # A record taken from an uncommitted tree is marked "-dirty".

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Partition smoke test: three gossiping piumaserve replicas behind a
-# piumagate running the intake ledger and anti-entropy reconciler.
+# Partition smoke test: three piumaserve replicas behind a piumagate
+# running the intake ledger and anti-entropy reconciler.
 # Clients submit runs and disconnect immediately (no wait=true, no
 # polling), then replica b1 is kill -9'd and NEVER restarted. With no
 # client left to drive idempotent resubmission, the gate alone must
-# notice the permanent loss (gossip + probes), re-home b1's orphaned
-# runs onto the survivors via the affinity ring, and drain its ledger:
-# every ledger-accepted run reaches a terminal state exactly once, with
-# zero per-replica duplicates.
+# notice the permanent loss through its own health probes, re-home
+# b1's orphaned runs onto the survivors via the affinity ring, and
+# drain its ledger: every ledger-accepted run reaches a terminal state
+# exactly once, with zero per-replica duplicates.
 #
 # Usage: scripts/partition_smoke.sh
 set -euo pipefail
@@ -57,22 +57,11 @@ wait_healthy() {
     fail "$what never became healthy on $base"
 }
 
-# Three replicas in a full gossip mesh; the gate joins as a fourth
-# member through its own -gossip-interval below.
-"$SERVE" -addr "$A_ADDR" -workers 2 -queue-depth 64 -replica b0 \
-    -gossip-addr "http://$A_ADDR" -gossip-interval 200ms -gossip-seed 10 \
-    -gossip-peer "b1=http://$B_ADDR" -gossip-peer "b2=http://$C_ADDR" \
-    >"$TMP/b0.log" 2>&1 &
+"$SERVE" -addr "$A_ADDR" -workers 2 -queue-depth 64 -replica b0 >"$TMP/b0.log" 2>&1 &
 APID=$!
-"$SERVE" -addr "$B_ADDR" -workers 2 -queue-depth 64 -replica b1 \
-    -gossip-addr "http://$B_ADDR" -gossip-interval 200ms -gossip-seed 11 \
-    -gossip-peer "b0=http://$A_ADDR" -gossip-peer "b2=http://$C_ADDR" \
-    >"$TMP/b1.log" 2>&1 &
+"$SERVE" -addr "$B_ADDR" -workers 2 -queue-depth 64 -replica b1 >"$TMP/b1.log" 2>&1 &
 BPID=$!
-"$SERVE" -addr "$C_ADDR" -workers 2 -queue-depth 64 -replica b2 \
-    -gossip-addr "http://$C_ADDR" -gossip-interval 200ms -gossip-seed 12 \
-    -gossip-peer "b0=http://$A_ADDR" -gossip-peer "b1=http://$B_ADDR" \
-    >"$TMP/b2.log" 2>&1 &
+"$SERVE" -addr "$C_ADDR" -workers 2 -queue-depth 64 -replica b2 >"$TMP/b2.log" 2>&1 &
 CPID=$!
 wait_healthy "http://$A_ADDR" "$APID" "replica b0"
 wait_healthy "http://$B_ADDR" "$BPID" "replica b1"
@@ -81,7 +70,6 @@ wait_healthy "http://$C_ADDR" "$CPID" "replica b2"
 "$GATE" -addr "$G_ADDR" -backends "http://$A_ADDR,http://$B_ADDR,http://$C_ADDR" \
     -policy round-robin -probe-interval 250ms \
     -data-dir "$TMP/gate-data" \
-    -gossip-interval 200ms -suspect-after 2 -dead-after 1s \
     -reconcile-interval 500ms >"$TMP/gate.log" 2>&1 &
 GPID=$!
 wait_healthy "$GBASE" "$GPID" "piumagate"
@@ -106,8 +94,7 @@ echo "== kill -9 replica b1 — it is never restarted =="
 kill -9 "$BPID" 2>/dev/null || true
 BPID=""
 
-# No client is watching. The gate's gossip/probes must confirm the
-# loss and the reconciler must re-home b1's runs until the ledger
+# No client is watching. The gate's probes must confirm the loss and the reconciler must re-home b1's runs until the ledger
 # drains to zero open runs.
 DRAINED=""
 for _ in $(seq 1 120); do
@@ -147,7 +134,7 @@ METRICS=$(curl -s "$GBASE/metrics")
 REHOMED=$(echo "$METRICS" | sed -n 's/^piumagate_rehomed_runs_total{backend="[^"]*"} \([0-9][0-9]*\).*/\1/p' | awk '{s+=$1} END {print s+0}')
 echo "$METRICS" | grep -q '^piumagate_reconcile_sweeps_total [1-9]' \
     || fail "gate metrics show no reconcile sweeps"
-echo "$METRICS" | grep -q 'piumagate_gossip_member_state{backend="b1"}' \
-    || fail "gate metrics missing gossiped member state for b1"
+echo "$METRICS" | grep -q '^piumagate_backend_probe_failures_total{backend="b1"} [1-9]' \
+    || fail "gate metrics show no failed probe of b1 — the gate never saw the loss itself"
 
 echo "PASS: replica lost forever, no client waiting — ${#RUNIDS[@]} runs terminal exactly once (${REHOMED:-0} re-homed)"
