@@ -8,7 +8,7 @@
 //     substrate, the SNAP-style RMAT generators and a synthetic Open
 //     Graph Benchmark catalogue (Table I).
 //   - internal/spmm, internal/tensor: functional SpMM and dense-MM
-//     kernels (Algorithm 1/2 numerics) used by the runnable GCN.
+//     kernels (Algorithm 1 numerics) used by the runnable GCN.
 //   - internal/sim, internal/piuma, internal/piuma/kernels: a
 //     discrete-event PIUMA machine model — MTP threads with one
 //     in-flight memory operation, per-core DRAM slices, a distributed

@@ -261,31 +261,3 @@ func TestQuickInferNonNegative(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPredictAndAccuracy(t *testing.T) {
-	logits := &tensor.Matrix{Rows: 3, Cols: 3, Data: []float64{
-		1, 0, 0,
-		0, 0, 2,
-		-1, 5, 0,
-	}}
-	pred := Predict(logits)
-	want := []int{0, 2, 1}
-	for i := range want {
-		if pred[i] != want[i] {
-			t.Fatalf("Predict = %v, want %v", pred, want)
-		}
-	}
-	acc, err := Accuracy(logits, []int{0, 2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.66 || acc > 0.67 {
-		t.Fatalf("Accuracy = %v, want 2/3", acc)
-	}
-	if _, err := Accuracy(logits, []int{0}); err == nil {
-		t.Fatal("expected error for label count mismatch")
-	}
-	if _, err := Accuracy(tensor.New(0, 3), nil); err == nil {
-		t.Fatal("expected error for empty labels")
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"piumagcn/internal/graph"
+	"piumagcn/internal/ogb"
 	"piumagcn/internal/rmat"
 )
 
@@ -39,5 +40,22 @@ func BenchmarkFromCOOWeighted(b *testing.B) {
 		if _, err := graph.FromCOO(coo); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkNormalizeGCN times the GCN normalization, self loops
+// included, of the products-shaped graph at the 2^17 edge cap.
+func BenchmarkNormalizeGCN(b *testing.B) {
+	d, err := ogb.ByName("products")
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, _, err := ogb.Generate(d, ogb.GenerateOptions{MaxEdges: 1 << 17, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		graph.NormalizeGCN(a)
 	}
 }

@@ -230,38 +230,47 @@ func fromUniformCOO(c *COO, w float64) *CSR {
 // three or more duplicates whose weights differ. Edge lists of one
 // shared weight, where that order cannot show, take fromUniformCOO.
 func (m *CSR) sortRowsAndCoalesce() {
-	type cv struct {
-		c int32
-		v float64
-	}
 	outPtr := make([]int64, m.NumVertices+1)
-	w := int64(0)
-	scratch := make([]cv, 0, 64)
+	// Each row is copied out before it is appended back, and a row never
+	// grows, so the appends only overwrite entries already copied.
+	col, val := m.Col[:0], m.Val[:0]
+	scratch := make([]colVal, 0, 64)
 	for u := 0; u < m.NumVertices; u++ {
 		lo, hi := m.RowPtr[u], m.RowPtr[u+1]
 		scratch = scratch[:0]
 		for i := lo; i < hi; i++ {
-			scratch = append(scratch, cv{m.Col[i], m.Val[i]})
+			scratch = append(scratch, colVal{m.Col[i], m.Val[i]})
 		}
-		slices.SortFunc(scratch, func(a, b cv) int { return cmp.Compare(a.c, b.c) })
-		outPtr[u] = w
-		for i := 0; i < len(scratch); {
-			j := i + 1
-			sum := scratch[i].v
-			for j < len(scratch) && scratch[j].c == scratch[i].c {
-				sum += scratch[j].v
-				j++
-			}
-			m.Col[w] = scratch[i].c
-			m.Val[w] = sum
-			w++
-			i = j
-		}
+		outPtr[u] = int64(len(col))
+		col, val = appendSortedRow(col, val, scratch)
 	}
-	outPtr[m.NumVertices] = w
-	m.RowPtr = outPtr
-	m.Col = m.Col[:w]
-	m.Val = m.Val[:w]
+	outPtr[m.NumVertices] = int64(len(col))
+	m.RowPtr, m.Col, m.Val = outPtr, col, val
+}
+
+// colVal is one (column, weight) entry of a row being sorted.
+type colVal struct {
+	c int32
+	v float64
+}
+
+// appendSortedRow sorts row by column with pdqsort and appends it to col
+// and val, each run of equal columns summed in the sorted order into one
+// entry.
+func appendSortedRow(col []int32, val []float64, row []colVal) ([]int32, []float64) {
+	slices.SortFunc(row, func(a, b colVal) int { return cmp.Compare(a.c, b.c) })
+	for i := 0; i < len(row); {
+		j := i + 1
+		sum := row[i].v
+		for j < len(row) && row[j].c == row[i].c {
+			sum += row[j].v
+			j++
+		}
+		col = append(col, row[i].c)
+		val = append(val, sum)
+		i = j
+	}
+	return col, val
 }
 
 // Transpose returns the transposed matrix (in-edges become out-edges).
@@ -294,24 +303,54 @@ func (m *CSR) Transpose() *CSR {
 }
 
 // AddSelfLoops returns a copy of m with weight-w self loops added to every
-// vertex (merged with existing diagonal entries).
+// vertex (merged with existing diagonal entries): bit for bit the CSR
+// FromCOO builds from m's entries with (u, u, w) after row u's. A row
+// whose columns strictly increase, as in every CSR FromCOO builds, takes
+// its diagonal by a merge; a merged diagonal sums two weights, so the
+// order of the sum cannot show. Any other row goes through FromCOO's
+// per-row sort and coalescing.
 func (m *CSR) AddSelfLoops(w float64) *CSR {
 	n := m.NumVertices
-	edges := make([]Edge, 0, int(m.NumEdges())+n)
+	rowPtr := make([]int64, n+1)
+	col := make([]int32, 0, len(m.Col)+n)
+	val := make([]float64, 0, len(m.Col)+n)
+	var scratch []colVal
 	for u := 0; u < n; u++ {
-		lo, hi := m.RowPtr[u], m.RowPtr[u+1]
-		for i := lo; i < hi; i++ {
-			edges = append(edges, Edge{int32(u), m.Col[i], m.Val[i]})
+		cols, vals := m.Row(u)
+		d := int32(u)
+		if strictlyIncreasing(cols) {
+			i, found := slices.BinarySearch(cols, d)
+			col = append(append(col, cols[:i]...), d)
+			val = append(val, vals[:i]...)
+			if found {
+				val = append(val, vals[i]+w)
+				i++
+			} else {
+				val = append(val, w)
+			}
+			col = append(col, cols[i:]...)
+			val = append(val, vals[i:]...)
+		} else {
+			scratch = scratch[:0]
+			for i, c := range cols {
+				scratch = append(scratch, colVal{c, vals[i]})
+			}
+			scratch = append(scratch, colVal{d, w})
+			col, val = appendSortedRow(col, val, scratch)
 		}
-		edges = append(edges, Edge{int32(u), int32(u), w})
+		rowPtr[u+1] = int64(len(col))
 	}
-	out, err := FromCOO(&COO{NumVertices: n, Edges: edges})
-	if err != nil {
-		// FromCOO can only fail on out-of-range endpoints, which cannot
-		// happen for edges copied from a validated CSR.
-		panic("graph: AddSelfLoops: " + err.Error())
+	return &CSR{NumVertices: n, RowPtr: rowPtr, Col: col, Val: val}
+}
+
+// strictlyIncreasing reports whether cols is sorted with no repeats.
+func strictlyIncreasing(cols []int32) bool {
+	for i := 1; i < len(cols); i++ {
+		if cols[i-1] >= cols[i] {
+			return false
+		}
 	}
-	return out
+	return true
 }
 
 // NormalizeGCN returns the symmetric GCN normalization

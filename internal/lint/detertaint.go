@@ -47,7 +47,7 @@ var DeterTaintAnalyzer = &Analyzer{
 		"and, in the simulation and codec packages, any output",
 	RunModule: runDeterTaint,
 	Applies: scopedTo("internal/gate", "internal/chaos",
-		"internal/serve", "internal/store", "internal/cluster",
+		"internal/serve", "internal/store",
 		"internal/sim", "internal/piuma", "internal/spmm", "internal/faults", "internal/bench"),
 }
 

@@ -1,27 +1,22 @@
 // Package spmm implements the functional SpMM kernels of the paper:
 // H_out = Ã · H_in with a sparse |V|×|V| matrix and dense |V|×K feature
-// matrices (Algorithm 1). Three parallelization strategies are provided,
-// mirroring Section II-C and Section V-A:
+// matrices (Algorithm 1). Two strategies are provided, mirroring
+// Section V-A:
 //
 //   - Serial: the reference used by every property test.
 //   - VertexParallel: rows are distributed across workers with dynamic
 //     load balancing — the optimized Xeon implementation of Section V-A
 //     ("vertex-parallel implementation with dynamic load balancing using
 //     OpenMP").
-//   - EdgeParallel: edges are split evenly across workers (Algorithm 2);
-//     each worker binary-searches the row pointer for its first vertex
-//     and uses atomic accumulation at row boundaries shared between
-//     workers. On CPUs the paper found this slower than vertex-parallel
-//     because of atomic overheads; it is PIUMA's preferred strategy.
 //
-// These kernels compute real numerics; the timing behaviour on PIUMA is
-// simulated separately by internal/piuma/kernels.
+// These kernels compute real numerics; the timing behaviour on PIUMA,
+// including Algorithm 2's edge-parallel split, is simulated separately
+// by internal/piuma/kernels.
 package spmm
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -108,92 +103,6 @@ func VertexParallel(a *graph.CSR, h *tensor.Matrix, workers int) (*tensor.Matrix
 				}
 			}
 		}()
-	}
-	wg.Wait()
-	return out, nil
-}
-
-// EdgeParallel computes H_out = A·H_in following Algorithm 2: the |E|
-// non-zeros are split into equal contiguous ranges, one per worker; each
-// worker binary-searches the row pointer for the row containing its
-// first edge, accumulates into a private K-wide buffer, and flushes the
-// buffer at row boundaries. Rows that straddle a worker boundary are
-// flushed with a mutex-guarded accumulation (the "atomic write" of
-// Algorithm 2 line 8).
-func EdgeParallel(a *graph.CSR, h *tensor.Matrix, workers int) (*tensor.Matrix, error) {
-	if err := checkShapes(a, h); err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := tensor.New(h.Rows, h.Cols)
-	e := a.NumEdges()
-	if e == 0 {
-		return out, nil
-	}
-	if int64(workers) > e {
-		workers = int(e)
-	}
-	// Per-row spinlocks would be overkill; boundary rows are rare
-	// (at most workers-1 of them), so one mutex per boundary flush is
-	// cheap and keeps the kernel allocation-free on the hot path.
-	var flushMu sync.Mutex
-	var wg sync.WaitGroup
-	for t := 0; t < workers; t++ {
-		start := int64(t) * e / int64(workers)
-		end := int64(t+1) * e / int64(workers)
-		if start >= end {
-			continue
-		}
-		wg.Add(1)
-		go func(start, end int64) {
-			defer wg.Done()
-			// Binary search: first row u with RowPtr[u+1] > start,
-			// i.e. the row that contains edge index `start`
-			// (Algorithm 2 line 4).
-			u := sort.Search(a.NumVertices, func(i int) bool {
-				return a.RowPtr[i+1] > start
-			})
-			buf := make([]float64, h.Cols)
-			// A row is "shared" if another worker may also write it:
-			// the first row (its earlier edges belong to the previous
-			// worker) and the last row (its later edges belong to the
-			// next worker).
-			flush := func(row int, shared bool) {
-				orow := out.Row(row)
-				if shared {
-					flushMu.Lock()
-				}
-				for j := range orow {
-					orow[j] += buf[j]
-				}
-				if shared {
-					flushMu.Unlock()
-				}
-				for j := range buf {
-					buf[j] = 0
-				}
-			}
-			firstRow := u
-			for eIdx := start; eIdx < end; eIdx++ {
-				for eIdx >= a.RowPtr[u+1] {
-					// Row boundary (Algorithm 2 line 7-9).
-					flush(u, u == firstRow && a.RowPtr[u] < start)
-					u++
-				}
-				v := a.Col[eIdx]
-				w := a.Val[eIdx]
-				hrow := h.Row(int(v))
-				for j := range buf {
-					buf[j] += w * hrow[j]
-				}
-			}
-			// Final flush: shared if the row continues past our range
-			// or started before it.
-			shared := a.RowPtr[u+1] > end || (u == firstRow && a.RowPtr[u] < start)
-			flush(u, shared)
-		}(start, end)
 	}
 	wg.Wait()
 	return out, nil

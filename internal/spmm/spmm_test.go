@@ -49,9 +49,6 @@ func TestShapeMismatch(t *testing.T) {
 	if _, err := VertexParallel(a, h, 2); err == nil {
 		t.Fatal("expected shape error")
 	}
-	if _, err := EdgeParallel(a, h, 2); err == nil {
-		t.Fatal("expected shape error")
-	}
 }
 
 func TestEmptyGraph(t *testing.T) {
@@ -87,73 +84,60 @@ func kernels() map[string]func(*graph.CSR, *tensor.Matrix) (*tensor.Matrix, erro
 		"vertex8": func(a *graph.CSR, h *tensor.Matrix) (*tensor.Matrix, error) {
 			return VertexParallel(a, h, 8)
 		},
-		"edge2": func(a *graph.CSR, h *tensor.Matrix) (*tensor.Matrix, error) {
-			return EdgeParallel(a, h, 2)
-		},
-		"edge7": func(a *graph.CSR, h *tensor.Matrix) (*tensor.Matrix, error) {
-			return EdgeParallel(a, h, 7)
-		},
 	}
 }
 
+// VertexParallel matches Serial on an RMAT graph, on one huge row
+// beside a short one (a skewed graph whose heavy row lands in the first
+// 64-row chunk), and on a graph with fewer rows and edges than workers.
 func TestParallelMatchesSerialRMAT(t *testing.T) {
-	a := buildGraph(t, 9, 8, 42)
-	h := tensor.NewRandom(a.NumVertices, 16, 1, 7)
-	want, err := Serial(a, h)
-	if err != nil {
-		t.Fatal(err)
+	var skewed []graph.Edge
+	for i := 0; i < 100; i++ {
+		skewed = append(skewed, graph.Edge{Src: 0, Dst: int32(i), Weight: float64(i + 1)})
 	}
-	for name, f := range kernels() {
-		got, err := f(a, h)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !tensor.AlmostEqual(got, want, 1e-9) {
-			t.Fatalf("%s: result differs from serial", name)
-		}
+	skewed = append(skewed, graph.Edge{Src: 50, Dst: 3, Weight: 2})
+	tiny := []graph.Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 2, Dst: 0, Weight: 1}}
+	inputs := []struct {
+		name string
+		a    *graph.CSR
+		k    int
+		tol  float64
+	}{
+		{"rmat", buildGraph(t, 9, 8, 42), 16, 1e-9},
+		{"skewed_rows", mustCSR(t, 100, skewed), 5, 1e-9},
+		{"more_workers_than_edges", mustCSR(t, 3, tiny), 4, 1e-12},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			h := tensor.NewRandom(in.a.NumVertices, in.k, 1, 7)
+			want, err := Serial(in.a, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{0, 1, 2, 3, 7, 8, 13, 16, 64, 101} {
+				got, err := VertexParallel(in.a, h, workers)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if !tensor.AlmostEqual(got, want, in.tol) {
+					t.Fatalf("workers=%d: result differs from serial", workers)
+				}
+			}
+		})
 	}
 }
 
-func TestEdgeParallelManyWorkersSkewedRows(t *testing.T) {
-	// A single huge row straddling every worker boundary exercises the
-	// shared-row flush logic.
-	n := 100
-	var edges []graph.Edge
-	for i := 0; i < n; i++ {
-		edges = append(edges, graph.Edge{Src: 0, Dst: int32(i), Weight: float64(i + 1)})
-	}
-	edges = append(edges, graph.Edge{Src: 50, Dst: 3, Weight: 2})
+func mustCSR(t *testing.T, n int, edges []graph.Edge) *graph.CSR {
+	t.Helper()
 	a, err := graph.FromCOO(&graph.COO{NumVertices: n, Edges: edges})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := tensor.NewRandom(n, 5, 1, 3)
-	want, _ := Serial(a, h)
-	for _, workers := range []int{2, 3, 13, 64, 101} {
-		got, err := EdgeParallel(a, h, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tensor.AlmostEqual(got, want, 1e-9) {
-			t.Fatalf("workers=%d: straddling row mishandled", workers)
-		}
-	}
+	return a
 }
 
-func TestEdgeParallelMoreWorkersThanEdges(t *testing.T) {
-	a, _ := graph.FromCOO(&graph.COO{NumVertices: 3, Edges: []graph.Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 2, Dst: 0, Weight: 1}}})
-	h := tensor.NewRandom(3, 4, 1, 9)
-	want, _ := Serial(a, h)
-	got, err := EdgeParallel(a, h, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.AlmostEqual(got, want, 1e-12) {
-		t.Fatal("more workers than edges broke the kernel")
-	}
-}
-
-// Property: all three kernels agree on random graphs and feature widths.
+// Property: VertexParallel agrees with Serial on random graphs, feature
+// widths and worker counts.
 func TestQuickKernelsAgree(t *testing.T) {
 	f := func(seed int64, nRaw, kRaw, wRaw uint8) bool {
 		n := int(nRaw)%60 + 1
@@ -179,11 +163,7 @@ func TestQuickKernelsAgree(t *testing.T) {
 			return false
 		}
 		vp, err := VertexParallel(a, h, workers)
-		if err != nil || !tensor.AlmostEqual(vp, want, 1e-9) {
-			return false
-		}
-		ep, err := EdgeParallel(a, h, workers)
-		return err == nil && tensor.AlmostEqual(ep, want, 1e-9)
+		return err == nil && tensor.AlmostEqual(vp, want, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -228,17 +208,6 @@ func BenchmarkSpMMVertexParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := VertexParallel(a, h, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSpMMEdgeParallel(b *testing.B) {
-	a, _ := rmat.GenerateCSR(rmat.PowerLaw(12, 8, 1))
-	h := tensor.NewRandom(a.NumVertices, 64, 1, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EdgeParallel(a, h, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

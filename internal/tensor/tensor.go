@@ -53,13 +53,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Zero clears the matrix in place.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
 // Bytes returns the storage footprint assuming elemBytes per value; the
 // memory-traffic models use this for capacity accounting.
 func (m *Matrix) Bytes(elemBytes int) int64 {
