@@ -92,7 +92,6 @@ func run() int {
 	engine := &workload.Engine{
 		Client:      &workload.HTTPClient{C: client, Timeout: *timeout, Retry429: *retry429},
 		MaxInFlight: *inFlight,
-		Metrics:     workload.NewMetrics(),
 	}
 
 	var trace *workload.Trace

@@ -50,7 +50,6 @@ import (
 	"syscall"
 	"time"
 
-	"piumagcn/internal/chaos"
 	"piumagcn/internal/serve"
 	"piumagcn/internal/store"
 )
@@ -66,7 +65,6 @@ func main() {
 		dataDir    = flag.String("data-dir", "", "journal run state here and recover it on restart (empty = in-memory only)")
 		fsync      = flag.String("fsync", "always", "journal fsync policy: always or never")
 		replica    = flag.String("replica", "", "replica name stamped into the X-Piuma-Replica response header (for piumagate fan-out)")
-		chaosSpec  = flag.String("chaos", "", "server-side chaos schedule imposed on this replica's responses (chaos.Spec; windows match -replica or target=*)")
 	)
 	flag.Parse()
 
@@ -102,25 +100,9 @@ func main() {
 		}
 	}
 
-	handler := srv.Handler()
-
-	if *chaosSpec != "" {
-		spec, err := chaos.Parse(*chaosSpec)
-		if err != nil {
-			log.Fatalf("piumaserve: -chaos: %v", err)
-		}
-		target := *replica
-		if target == "" {
-			target = chaos.TargetAll
-		}
-		inj := chaos.New(spec, nil)
-		handler = inj.Middleware(target, handler)
-		log.Printf("piumaserve: chaos schedule active (target %s): %s", target, spec.String())
-	}
-
 	httpSrv := &http.Server{
 		Addr:              *addr,
-		Handler:           handler,
+		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -105,13 +104,6 @@ func TestSpecParseErrors(t *testing.T) {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) unexpectedly succeeded", s)
 		}
-	}
-}
-
-func TestSpecHorizon(t *testing.T) {
-	spec := mustParse(t, "fault=reset,target=b0,at=1s,for=500ms;fault=slow,target=b1,at=0s,for=3s,delay=1ms")
-	if got, want := spec.Horizon(), 3*time.Second; got != want {
-		t.Fatalf("Horizon = %v, want %v", got, want)
 	}
 }
 
@@ -288,61 +280,6 @@ func TestFaultLogDeterministic(t *testing.T) {
 	if all == 0 || all == 40 {
 		t.Fatalf("rate=0.4 window hit %d/40 requests; draw not thinning", all)
 	}
-}
-
-func TestMiddleware(t *testing.T) {
-	t.Run("5xx and latency", func(t *testing.T) {
-		clock := &virtualClock{}
-		inj := New(mustParse(t, "fault=5xx,target=b0,at=0s,for=1s,code=500"), clock)
-		h := inj.Middleware("b0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Write([]byte("ok"))
-		}))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-		if rec.Code != http.StatusInternalServerError {
-			t.Fatalf("status = %d, want 500", rec.Code)
-		}
-		// Window over: passes through clean.
-		clock.Advance(2 * time.Second)
-		rec = httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-		if rec.Code != http.StatusOK || rec.Body.String() != "ok" {
-			t.Fatalf("post-window response = %d %q", rec.Code, rec.Body.String())
-		}
-	})
-
-	t.Run("reset aborts the connection", func(t *testing.T) {
-		inj := New(mustParse(t, "fault=reset,target=b0,at=0s,for=10s"), WallClock{})
-		srv := httptest.NewServer(inj.Middleware("b0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Write([]byte("ok"))
-		})))
-		defer srv.Close()
-		_, err := srv.Client().Get(srv.URL)
-		if err == nil {
-			t.Fatal("want a transport error from the aborted connection")
-		}
-	})
-
-	t.Run("truncate cuts the response mid-body", func(t *testing.T) {
-		inj := New(mustParse(t, "fault=truncate,target=b0,at=0s,for=10s,bytes=2"), WallClock{})
-		srv := httptest.NewServer(inj.Middleware("b0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Length", "10")
-			w.Write([]byte("0123456789"))
-		})))
-		defer srv.Close()
-		resp, err := srv.Client().Get(srv.URL)
-		if err != nil {
-			t.Fatalf("GET: %v", err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err == nil {
-			t.Fatalf("want a read error from the truncated body, got %q", body)
-		}
-		if len(body) > 2 {
-			t.Fatalf("read %d bytes past the truncation point", len(body))
-		}
-	})
 }
 
 func TestTargets(t *testing.T) {

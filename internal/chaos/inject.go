@@ -72,8 +72,8 @@ type Record struct {
 }
 
 // Injector binds a Spec to a Clock with the epoch pinned at
-// construction. One Injector may back any number of Transports and
-// Middlewares; they share the timeline, the seed and the fault log.
+// construction. One Injector may back any number of Transports; they
+// share the timeline, the seed and the fault log.
 type Injector struct {
 	spec  Spec
 	clock Clock
@@ -312,92 +312,3 @@ func (b *truncatedBody) Read(p []byte) (int, error) {
 }
 
 func (b *truncatedBody) Close() error { return b.rc.Close() }
-
-// Middleware is the server-side attachment: a replica (named target)
-// sabotages its own request handling per the schedule. latency/slow
-// delay the response, 5xx replaces it, reset aborts the connection
-// without a response, blackhole hangs until the window closes and then
-// aborts, truncate aborts the connection after Bytes response bytes.
-func (inj *Injector) Middleware(target string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		off := inj.offset()
-		ctx := r.Context()
-		var delay time.Duration
-		truncateAt := int64(-1)
-		for wi, win := range inj.spec.Windows {
-			if !win.contains(off) || !win.matches(target) || !inj.hit(wi, target, off) {
-				continue
-			}
-			switch win.Kind {
-			case KindLatency, KindSlow:
-				delay += win.Delay()
-			case KindReset:
-				panic(http.ErrAbortHandler)
-			case KindBlackhole:
-				if remain := win.At() + win.For() - off; remain > 0 {
-					inj.clock.Sleep(ctx, remain)
-				}
-				panic(http.ErrAbortHandler)
-			case Kind5xx:
-				code := win.code()
-				http.Error(w, fmt.Sprintf("chaos: injected %d %s", code, http.StatusText(code)), code)
-				return
-			case KindTruncate:
-				if truncateAt < 0 || win.Bytes < truncateAt {
-					truncateAt = win.Bytes
-				}
-			}
-		}
-		if delay > 0 && !inj.clock.Sleep(ctx, delay) {
-			return // client gone mid-delay
-		}
-		if truncateAt >= 0 {
-			tw := &truncatedWriter{w: w, remain: truncateAt}
-			next.ServeHTTP(tw, r)
-			if tw.cut {
-				// The handler wrote past the budget: kill the connection so
-				// the client sees the truncation, not a clean EOF.
-				panic(http.ErrAbortHandler)
-			}
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-// truncatedWriter forwards remain body bytes and swallows the rest,
-// marking that a cut happened.
-type truncatedWriter struct {
-	w      http.ResponseWriter
-	remain int64
-	cut    bool
-}
-
-func (t *truncatedWriter) Header() http.Header { return t.w.Header() }
-
-func (t *truncatedWriter) WriteHeader(code int) { t.w.WriteHeader(code) }
-
-func (t *truncatedWriter) Write(p []byte) (int, error) {
-	if t.remain <= 0 {
-		t.cut = true
-		return len(p), nil
-	}
-	keep := p
-	if int64(len(keep)) > t.remain {
-		keep = keep[:t.remain]
-		t.cut = true
-	}
-	n, err := t.w.Write(keep)
-	t.remain -= int64(n)
-	if err != nil {
-		return n, err
-	}
-	if t.cut {
-		// Push the partial body to the wire before the connection is
-		// aborted, so the client sees bytes then a cut — not a clean EOF.
-		if f, ok := t.w.(http.Flusher); ok {
-			f.Flush()
-		}
-	}
-	return len(p), nil
-}

@@ -13,10 +13,9 @@
 // is byte-for-byte reproducible — the same determinism contract the
 // rest of the repo holds.
 //
-// The Injector has two attachment points: Transport wraps an
-// http.RoundTripper on the client side (the gate's fan-out transport),
-// and Middleware wraps an http.Handler on the server side (a replica
-// sabotaging its own responses). Both log every injected fault.
+// The Injector attaches at one point: Transport wraps an
+// http.RoundTripper on the client side (the gate's fan-out transport)
+// and logs every injected fault.
 package chaos
 
 import (
@@ -26,9 +25,7 @@ import (
 	"time"
 )
 
-// Fault kinds. Transport supports all six; Middleware supports every
-// kind except truncate-on-read (server-side truncation aborts the
-// connection instead, which a client observes identically).
+// Fault kinds. Transport supports all six.
 const (
 	// KindLatency delays the request by Delay before it is forwarded.
 	KindLatency = "latency"
@@ -287,16 +284,4 @@ func (s Spec) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Horizon is the offset at which the last window closes (the
-// schedule's natural end; zero for an empty spec).
-func (s Spec) Horizon() time.Duration {
-	var h time.Duration
-	for _, w := range s.Windows {
-		if end := w.At() + w.For(); end > h {
-			h = end
-		}
-	}
-	return h
 }

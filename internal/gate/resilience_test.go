@@ -735,7 +735,6 @@ func TestChaosClusterNoLostRuns(t *testing.T) {
 		Scenario:    sc,
 		Client:      &workload.HTTPClient{C: client, Timeout: 15 * time.Second},
 		MaxInFlight: 64,
-		Metrics:     workload.NewMetrics(),
 		Trace:       tw,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

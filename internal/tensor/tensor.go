@@ -53,12 +53,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Bytes returns the storage footprint assuming elemBytes per value; the
-// memory-traffic models use this for capacity accounting.
-func (m *Matrix) Bytes(elemBytes int) int64 {
-	return int64(m.Rows) * int64(m.Cols) * int64(elemBytes)
-}
-
 // ErrShape is returned when operand dimensions do not line up.
 var ErrShape = errors.New("tensor: shape mismatch")
 

@@ -115,13 +115,6 @@ func TestNorms(t *testing.T) {
 	}
 }
 
-func TestBytes(t *testing.T) {
-	m := New(10, 20)
-	if m.Bytes(8) != 1600 {
-		t.Fatalf("Bytes = %d", m.Bytes(8))
-	}
-}
-
 func TestAlmostEqualShapes(t *testing.T) {
 	if AlmostEqual(New(1, 2), New(2, 1), 1) {
 		t.Fatal("different shapes must not compare equal")

@@ -39,8 +39,9 @@ type Response struct {
 }
 
 // Client executes one request. Implementations must be safe for
-// concurrent use: the engine is open-loop and dispatches every request
-// at its scheduled time regardless of how many are still in flight.
+// concurrent use: an open-loop run dispatches every request at its
+// scheduled time regardless of how many are still in flight, and a
+// closed-loop run calls Do from every worker.
 type Client interface {
 	Do(ctx context.Context, req Request) Response
 }
@@ -89,10 +90,10 @@ const shedErr = "workload: shed (max in-flight reached)"
 // without bound.
 const defaultMaxInFlight = 512
 
-// Engine runs one scenario against a Client: it derives the full
-// request schedule from the scenario seed, issues each request at its
-// scheduled offset, records the trace (when a TraceWriter is attached)
-// and reduces the outcomes to a Report.
+// Engine runs one scenario against a Client: it issues requests open
+// loop at their scheduled offsets or closed loop from a fixed worker
+// population, records the trace (when a TraceWriter is attached) and
+// reduces the outcomes to a Report.
 type Engine struct {
 	Scenario Scenario
 	Client   Client
@@ -100,58 +101,67 @@ type Engine struct {
 	Clock Clock
 	// Trace, when non-nil, records the run.
 	Trace *TraceWriter
-	// MaxInFlight bounds concurrent dispatches (0 = 512; negative =
-	// unbounded). Requests over the cap settle as sheds.
+	// MaxInFlight bounds concurrent open-loop dispatches (0 = 512;
+	// negative = unbounded). Requests over the cap settle as sheds.
 	MaxInFlight int
-	// Metrics, when non-nil, tracks live client-side counters.
-	Metrics *Metrics
 }
 
-// schedule derives the full deterministic request schedule up front.
+// tenantPicker draws a request's tenant by inverse CDF over the
+// cumulative tenant weights, then one of that tenant's templates: two
+// draws from the caller's generator, in that order.
+type tenantPicker struct {
+	sc  Scenario
+	cum []float64
+}
+
+func newTenantPicker(sc Scenario) tenantPicker {
+	p := tenantPicker{sc: sc}
+	total := 0.0
+	for _, t := range sc.Tenants {
+		total += t.Weight
+		p.cum = append(p.cum, total)
+	}
+	return p
+}
+
+// draw returns an unsequenced, unscheduled request.
+func (p tenantPicker) draw(rng *rand.Rand) Request {
+	ti := sort.SearchFloat64s(p.cum, rng.Float64()*p.cum[len(p.cum)-1])
+	if ti >= len(p.sc.Tenants) {
+		ti = len(p.sc.Tenants) - 1
+	}
+	t := p.sc.Tenants[ti]
+	return Request{
+		Tenant:     t.Name,
+		Class:      t.Class,
+		Experiment: t.Experiment,
+		Options:    p.sc.TemplateOptions(ti, rng.Intn(t.Templates)),
+		SLO:        t.SLO(),
+	}
+}
+
+// schedule derives the full deterministic open-loop schedule up front.
 // Two independent generators keep the draw streams stable: the arrival
 // rng is consumed only by inter-arrival draws, the pick rng only by
 // tenant/template selection, so adding a tenant does not perturb the
 // arrival times.
-func (e *Engine) schedule() ([]Request, error) {
-	sc := e.Scenario.normalized()
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
+func schedule(sc Scenario) ([]Request, error) {
 	arrivals, err := NewArrivals(sc, rand.New(rand.NewSource(sc.Seed)))
 	if err != nil {
 		return nil, err
 	}
+	picker := newTenantPicker(sc)
 	pick := rand.New(rand.NewSource(sc.Seed + 1))
-	var cumWeight []float64
-	total := 0.0
-	for _, t := range sc.Tenants {
-		total += t.Weight
-		cumWeight = append(cumWeight, total)
-	}
 	var reqs []Request
 	for {
 		offset, ok := arrivals.Next()
 		if !ok {
-			break
+			return reqs, nil
 		}
-		// Tenant pick: inverse CDF over the cumulative weights.
-		x := pick.Float64() * total
-		ti := sort.SearchFloat64s(cumWeight, x)
-		if ti >= len(sc.Tenants) {
-			ti = len(sc.Tenants) - 1
-		}
-		t := sc.Tenants[ti]
-		reqs = append(reqs, Request{
-			Seq:        int64(len(reqs)),
-			Offset:     offset,
-			Tenant:     t.Name,
-			Class:      t.Class,
-			Experiment: t.Experiment,
-			Options:    sc.TemplateOptions(ti, pick.Intn(t.Templates)),
-			SLO:        t.SLO(),
-		})
+		req := picker.draw(pick)
+		req.Offset = offset
+		reqs = append(reqs, req)
 	}
-	return reqs, nil
 }
 
 // Run executes the scenario and returns its report. Canceling the
@@ -163,172 +173,13 @@ func (e *Engine) Run(ctx context.Context) (*Report, error) {
 		return nil, err
 	}
 	if sc.Mode == ModeClosed {
-		return e.runClosed(ctx, sc)
+		return e.closedLoop(ctx, sc)
 	}
-	reqs, err := e.schedule()
+	reqs, err := schedule(sc)
 	if err != nil {
 		return nil, err
 	}
-	return e.run(ctx, reqs, nil, false)
-}
-
-// runClosed is the closed-loop driver: Concurrency workers each issue a
-// request, wait for its response, think (exponential with mean Think),
-// and repeat until the duration horizon or MaxRequests. Unlike the
-// open-loop core there is no pre-derived schedule — issue times depend
-// on server latency, which is the point of a closed loop — but every
-// random choice (tenant, template, think draw) still comes from
-// per-worker seeded generators, and the trace records actual issue
-// offsets so a closed trace replays as an open-loop schedule.
-func (e *Engine) runClosed(ctx context.Context, sc Scenario) (*Report, error) {
-	if e.Client == nil {
-		return nil, fmt.Errorf("workload: engine needs a client")
-	}
-	clock := e.Clock
-	if clock == nil {
-		clock = &wallClock{}
-	}
-
-	var cumWeight []float64
-	total := 0.0
-	for _, t := range sc.Tenants {
-		total += t.Weight
-		cumWeight = append(cumWeight, total)
-	}
-
-	var (
-		mu        sync.Mutex
-		traceReqs []TraceRequest
-		responses []TraceResponse
-		settled   []bool
-		firstErr  error
-	)
-	// issue assigns the next sequence number, stamps the actual issue
-	// offset and writes the request frame — all under one lock, so seq
-	// order and trace frame order agree exactly as in the open loop.
-	issue := func(ti, tmpl int) (Request, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr != nil {
-			return Request{}, false
-		}
-		seq := int64(len(traceReqs))
-		if sc.MaxRequests > 0 && seq >= sc.MaxRequests {
-			return Request{}, false
-		}
-		t := sc.Tenants[ti]
-		req := Request{
-			Seq:        seq,
-			Offset:     clock.Since(),
-			Tenant:     t.Name,
-			Class:      t.Class,
-			Experiment: t.Experiment,
-			Options:    sc.TemplateOptions(ti, tmpl),
-			SLO:        t.SLO(),
-		}
-		tr := TraceRequest{
-			Kind:       "req",
-			Seq:        seq,
-			OffsetUS:   req.Offset.Microseconds(),
-			Tenant:     t.Name,
-			Class:      t.Class,
-			Experiment: t.Experiment,
-			Options:    req.Options,
-		}
-		if e.Trace != nil {
-			if _, err := e.Trace.WriteRequest(tr); err != nil {
-				firstErr = err
-				return Request{}, false
-			}
-		}
-		traceReqs = append(traceReqs, tr)
-		responses = append(responses, TraceResponse{})
-		settled = append(settled, false)
-		return req, true
-	}
-	record := func(seq int64, resp TraceResponse) {
-		mu.Lock()
-		responses[seq] = resp
-		settled[seq] = true
-		class := traceReqs[seq].Class
-		mu.Unlock()
-		if e.Metrics != nil {
-			e.Metrics.observe(class, classify(resp), resp.Latency())
-		}
-	}
-
-	clock.Start()
-	var wg sync.WaitGroup
-	for w := 0; w < sc.Concurrency; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Offset each worker's stream far from the open-loop arrival
-			// and pick streams so the draw sequences never overlap.
-			rng := rand.New(rand.NewSource(sc.Seed + int64(w+1)*1_000_003))
-			for {
-				if ctx.Err() != nil || clock.Since() >= sc.Duration() {
-					return
-				}
-				x := rng.Float64() * total
-				ti := sort.SearchFloat64s(cumWeight, x)
-				if ti >= len(sc.Tenants) {
-					ti = len(sc.Tenants) - 1
-				}
-				tmpl := rng.Intn(sc.Tenants[ti].Templates)
-				req, ok := issue(ti, tmpl)
-				if !ok {
-					return
-				}
-				if e.Metrics != nil {
-					e.Metrics.inFlight.Add(1)
-				}
-				start := clock.Since()
-				resp := e.Client.Do(ctx, req)
-				if resp.Latency == 0 {
-					resp.Latency = clock.Since() - start
-				}
-				if e.Metrics != nil {
-					e.Metrics.inFlight.Add(-1)
-				}
-				record(req.Seq, TraceResponse{
-					Seq:        req.Seq,
-					HTTPStatus: resp.HTTPStatus,
-					RunStatus:  resp.RunStatus,
-					RunID:      resp.RunID,
-					LatencyUS:  resp.Latency.Microseconds(),
-					Err:        resp.Err,
-					Retried429: resp.Retried429,
-				})
-				if sc.ThinkMS > 0 {
-					d := time.Duration(rng.ExpFloat64() * float64(sc.Think()))
-					if !clock.SleepUntil(ctx, clock.Since()+d) {
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := clock.Since()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	var outResps []TraceResponse
-	for seq := range traceReqs {
-		if !settled[seq] {
-			continue
-		}
-		if e.Trace != nil {
-			if err := e.Trace.WriteResponse(responses[seq]); err != nil {
-				return nil, err
-			}
-		}
-		outResps = append(outResps, responses[seq])
-	}
-	rep := BuildReport(sc, traceReqs, outResps, elapsed)
-	return rep, nil
+	return e.openLoop(ctx, reqs, nil)
 }
 
 // Replay re-executes a recorded trace's request schedule against the
@@ -339,14 +190,13 @@ func (e *Engine) Replay(ctx context.Context, tr *Trace) (*Report, error) {
 		return nil, fmt.Errorf("workload: trace requests (%d) and raw payloads (%d) out of sync", len(tr.Requests), len(tr.RawRequests))
 	}
 	e.Scenario = tr.Scenario
-	reqs := make([]Request, len(tr.Requests))
 	byTenant := make(map[string]Tenant, len(tr.Scenario.Tenants))
 	for _, t := range tr.Scenario.normalized().Tenants {
 		byTenant[t.Name] = t
 	}
+	reqs := make([]Request, len(tr.Requests))
 	for i, r := range tr.Requests {
 		reqs[i] = Request{
-			Seq:        r.Seq,
 			Offset:     r.Offset(),
 			Tenant:     r.Tenant,
 			Class:      r.Class,
@@ -355,13 +205,120 @@ func (e *Engine) Replay(ctx context.Context, tr *Trace) (*Report, error) {
 			SLO:        byTenant[r.Tenant].SLO(),
 		}
 	}
-	return e.run(ctx, reqs, tr.RawRequests, true)
+	rep, err := e.openLoop(ctx, reqs, tr.RawRequests)
+	if err != nil {
+		return nil, err
+	}
+	rep.Replayed = true
+	return rep, nil
 }
 
-// run is the shared open-loop core. raw, when non-nil, holds recorded
-// request payloads to re-frame verbatim (replay); otherwise request
-// frames are freshly encoded.
-func (e *Engine) run(ctx context.Context, reqs []Request, raw [][]byte, replayed bool) (*Report, error) {
+// openLoop issues each request at its scheduled offset, never waiting
+// for capacity: over MaxInFlight a request settles at once as a shed.
+// raw, when non-nil, holds the recorded request payloads to re-frame
+// verbatim (replay).
+func (e *Engine) openLoop(ctx context.Context, reqs []Request, raw [][]byte) (*Report, error) {
+	r, err := e.newRunner(e.Scenario)
+	if err != nil {
+		return nil, err
+	}
+	maxInFlight := e.MaxInFlight
+	if maxInFlight == 0 {
+		maxInFlight = defaultMaxInFlight
+	}
+	var slots chan struct{}
+	if maxInFlight > 0 {
+		slots = make(chan struct{}, maxInFlight)
+	}
+	return r.drive(func(settle func(TraceResponse)) {
+		for i := range reqs {
+			if !r.clock.SleepUntil(ctx, reqs[i].Offset) {
+				return // canceled: the rest are never issued
+			}
+			var payload []byte
+			if raw != nil {
+				payload = raw[i]
+			}
+			req, ok := r.issue(reqs[i], payload, false)
+			if !ok {
+				return
+			}
+			if slots != nil {
+				select {
+				case slots <- struct{}{}:
+				default:
+					settle(TraceResponse{Seq: req.Seq, Err: shedErr})
+					continue
+				}
+			}
+			r.wg.Add(1)
+			go func() {
+				defer r.wg.Done()
+				resp := r.do(ctx, req)
+				if slots != nil {
+					<-slots
+				}
+				settle(resp)
+			}()
+		}
+	})
+}
+
+// closedLoop runs Concurrency workers that each issue a request, wait
+// for its response, think (exponential with mean Think), and repeat
+// until the duration horizon or MaxRequests. Issue times depend on
+// server latency, which is the point of a closed loop, but every random
+// choice (tenant, template, think draw) comes from a per-worker seeded
+// generator, and the trace records actual issue offsets so a closed
+// trace replays as an open-loop schedule.
+func (e *Engine) closedLoop(ctx context.Context, sc Scenario) (*Report, error) {
+	r, err := e.newRunner(sc)
+	if err != nil {
+		return nil, err
+	}
+	picker := newTenantPicker(sc)
+	return r.drive(func(settle func(TraceResponse)) {
+		for w := 0; w < sc.Concurrency; w++ {
+			// Offset each worker's stream far from the open-loop arrival
+			// and pick streams so the draw sequences never overlap.
+			rng := rand.New(rand.NewSource(sc.Seed + int64(w+1)*1_000_003))
+			r.wg.Add(1)
+			go func() {
+				defer r.wg.Done()
+				for ctx.Err() == nil && r.clock.Since() < sc.Duration() {
+					req, ok := r.issue(picker.draw(rng), nil, true)
+					if !ok {
+						return
+					}
+					settle(r.do(ctx, req))
+					if sc.ThinkMS > 0 {
+						d := time.Duration(rng.ExpFloat64() * float64(sc.Think()))
+						if !r.clock.SleepUntil(ctx, r.clock.Since()+d) {
+							return
+						}
+					}
+				}
+			}()
+		}
+	})
+}
+
+// runner is one run's issue/settle/report path, shared by the open,
+// closed and replay drivers.
+type runner struct {
+	e     *Engine
+	sc    Scenario
+	clock Clock
+	wg    sync.WaitGroup // dispatched requests (open) or workers (closed)
+
+	mu      sync.Mutex
+	reqs    []TraceRequest
+	resps   []TraceResponse
+	settled []bool
+	err     error // first trace-write failure; nothing issues after it
+}
+
+func (e *Engine) newRunner(sc Scenario) (*runner, error) {
 	if e.Client == nil {
 		return nil, fmt.Errorf("workload: engine needs a client")
 	}
@@ -369,124 +326,109 @@ func (e *Engine) run(ctx context.Context, reqs []Request, raw [][]byte, replayed
 	if clock == nil {
 		clock = &wallClock{}
 	}
-	maxInFlight := e.MaxInFlight
-	if maxInFlight == 0 {
-		maxInFlight = defaultMaxInFlight
-	}
+	return &runner{e: e, sc: sc, clock: clock}, nil
+}
 
-	traceReqs := make([]TraceRequest, len(reqs))
-	for i, r := range reqs {
-		traceReqs[i] = TraceRequest{
-			Seq:        r.Seq,
-			OffsetUS:   r.Offset.Microseconds(),
-			Tenant:     r.Tenant,
-			Class:      r.Class,
-			Experiment: r.Experiment,
-			Options:    r.Options,
+// issue assigns req the next seq and writes its request frame under one
+// lock, so seq order and trace frame order agree. payload, when
+// non-nil, is a recorded frame re-framed verbatim. A closed-loop
+// request is stamped with its actual issue offset and refused past
+// MaxRequests.
+func (r *runner) issue(req Request, payload []byte, closed bool) (Request, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err != nil {
+		return req, false
+	}
+	req.Seq = int64(len(r.reqs))
+	if closed {
+		if r.sc.MaxRequests > 0 && req.Seq >= r.sc.MaxRequests {
+			return req, false
+		}
+		req.Offset = r.clock.Since()
+	}
+	tr := TraceRequest{
+		Kind:       "req",
+		Seq:        req.Seq,
+		OffsetUS:   req.Offset.Microseconds(),
+		Tenant:     req.Tenant,
+		Class:      req.Class,
+		Experiment: req.Experiment,
+		Options:    req.Options,
+	}
+	if r.e.Trace != nil {
+		if payload != nil {
+			r.err = r.e.Trace.WriteRequestRaw(payload)
+		} else {
+			r.err = r.e.Trace.WriteRequest(tr)
+		}
+		if r.err != nil {
+			return req, false
 		}
 	}
+	r.reqs = append(r.reqs, tr)
+	r.resps = append(r.resps, TraceResponse{})
+	r.settled = append(r.settled, false)
+	return req, true
+}
 
-	responses := make([]TraceResponse, len(reqs))
-	settled := make([]bool, len(reqs))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var inFlight chan struct{}
-	if maxInFlight > 0 {
-		inFlight = make(chan struct{}, maxInFlight)
+// do runs one issued request, measuring its latency on the run's clock
+// when the client reports none.
+func (r *runner) do(ctx context.Context, req Request) TraceResponse {
+	start := r.clock.Since()
+	resp := r.e.Client.Do(ctx, req)
+	if resp.Latency == 0 {
+		resp.Latency = r.clock.Since() - start
 	}
-
-	record := func(seq int64, resp TraceResponse) {
-		mu.Lock()
-		responses[seq] = resp
-		settled[seq] = true
-		mu.Unlock()
-		if e.Metrics != nil {
-			e.Metrics.observe(reqs[seq].Class, classify(resp), resp.Latency())
-		}
+	return TraceResponse{
+		Seq:        req.Seq,
+		HTTPStatus: resp.HTTPStatus,
+		RunStatus:  resp.RunStatus,
+		RunID:      resp.RunID,
+		LatencyUS:  resp.Latency.Microseconds(),
+		Err:        resp.Err,
+		Retried429: resp.Retried429,
 	}
+}
 
-	clock.Start()
-	issued := 0
-	for i := range reqs {
-		req := reqs[i]
-		if !clock.SleepUntil(ctx, req.Offset) {
-			break // canceled: remaining requests stay unsettled
-		}
-		// The request frame is written at issue time, in seq order, from
-		// this single scheduler goroutine.
-		if e.Trace != nil {
-			var err error
-			if raw != nil {
-				err = e.Trace.WriteRequestRaw(raw[i])
-			} else {
-				traceReqs[i].Kind = "req"
-				_, err = e.Trace.WriteRequest(traceReqs[i])
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		issued++
-		// Open loop: never wait for capacity. Over the cap the request
-		// settles immediately as a shed.
-		if inFlight != nil {
-			select {
-			case inFlight <- struct{}{}:
-			default:
-				record(req.Seq, TraceResponse{Seq: req.Seq, Err: shedErr})
-				continue
-			}
-		}
-		if e.Metrics != nil {
-			e.Metrics.inFlight.Add(1)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			start := clock.Since()
-			resp := e.Client.Do(ctx, req)
-			if resp.Latency == 0 {
-				resp.Latency = clock.Since() - start
-			}
-			if inFlight != nil {
-				<-inFlight
-			}
-			if e.Metrics != nil {
-				e.Metrics.inFlight.Add(-1)
-			}
-			record(req.Seq, TraceResponse{
-				Seq:        req.Seq,
-				HTTPStatus: resp.HTTPStatus,
-				RunStatus:  resp.RunStatus,
-				RunID:      resp.RunID,
-				LatencyUS:  resp.Latency.Microseconds(),
-				Err:        resp.Err,
-				Retried429: resp.Retried429,
-			})
-		}()
+// drive starts the clock, runs loop with settle (which records one
+// request's outcome) and waits for every request loop issued. Response
+// frames are then written in seq order, so the trace layout is a pure
+// function of the outcomes (not of completion order), and the run
+// reduces to its report.
+//
+// settle is a closure, not a method: piumalint's detertaint follows
+// static calls only, and it keeps one taint set for all of a
+// function's results, so serve.Client's Retry-After clock read taints
+// every SubmitAndWaitInfo result. A static path from HTTPClient's
+// responses to the trace frames would spread that false positive into
+// every internal/store writer.
+func (r *runner) drive(loop func(settle func(TraceResponse))) (*Report, error) {
+	r.clock.Start()
+	loop(func(resp TraceResponse) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.resps[resp.Seq] = resp
+		r.settled[resp.Seq] = true
+	})
+	r.wg.Wait()
+	elapsed := r.clock.Since()
+	if r.err != nil {
+		return nil, r.err
 	}
-	wg.Wait()
-	elapsed := clock.Since()
-
-	// Response frames are written after the run, in seq order, so the
-	// trace layout is a pure function of the outcomes (not of goroutine
-	// completion order).
-	var outResps []TraceResponse
-	for seq := 0; seq < issued; seq++ {
-		if !settled[seq] {
+	var resps []TraceResponse
+	for seq, ok := range r.settled {
+		if !ok {
 			continue
 		}
-		if e.Trace != nil {
-			if err := e.Trace.WriteResponse(responses[seq]); err != nil {
+		if r.e.Trace != nil {
+			if err := r.e.Trace.WriteResponse(r.resps[seq]); err != nil {
 				return nil, err
 			}
 		}
-		outResps = append(outResps, responses[seq])
+		resps = append(resps, r.resps[seq])
 	}
-
-	rep := BuildReport(e.Scenario, traceReqs[:issued], outResps, elapsed)
-	rep.Replayed = replayed
-	return rep, nil
+	return BuildReport(r.sc, r.reqs, resps, elapsed), nil
 }
 
 // HTTPClient adapts serve.Client to the engine: each request becomes a

@@ -3,6 +3,9 @@ package workload
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"errors"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +16,7 @@ import (
 
 	"piumagcn/internal/bench"
 	"piumagcn/internal/serve"
+	"piumagcn/internal/store"
 )
 
 // virtualClock advances instantly to each requested offset, so engine
@@ -348,13 +352,17 @@ func TestClosedLoopConcurrencyBound(t *testing.T) {
 	}
 }
 
+// closedDeterministicSpec is a one-worker closed loop with think time
+// and two tenants.
+const closedDeterministicSpec = "seed=9,mode=closed,concurrency=1,think=10ms,duration=10s,max-requests=25;" +
+	"tenant=a,class=gold,weight=2,experiment=table1,templates=3;" +
+	"tenant=b,class=batch,experiment=table1,templates=2"
+
 // TestClosedLoopDeterministic: with one worker, a deterministic client
 // and a virtual clock, a closed run is as reproducible as an open one —
 // byte-identical traces and reports.
 func TestClosedLoopDeterministic(t *testing.T) {
-	sc, err := Parse("seed=9,mode=closed,concurrency=1,think=10ms,duration=10s,max-requests=25;" +
-		"tenant=a,class=gold,weight=2,experiment=table1,templates=3;" +
-		"tenant=b,class=batch,experiment=table1,templates=2")
+	sc, err := Parse(closedDeterministicSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,34 +417,142 @@ func TestClosedTraceReplaysOpenLoop(t *testing.T) {
 	}
 }
 
-// TestEngineMetrics checks the client-side metric families render with
-// bounded labels.
-func TestEngineMetrics(t *testing.T) {
-	sc, err := Named("smoke")
+// TestGeneratorPins pins the generator's bytes across builds: the
+// SHA-256 of the trace and of the JSON report of four deterministic
+// runs. The determinism tests compare two runs of one build, so only
+// this test catches a change that moves every byte the same way.
+func TestGeneratorPins(t *testing.T) {
+	named := func(name string, durationMS int64) Scenario {
+		sc, err := Named(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if durationMS > 0 {
+			sc.DurationMS = durationMS
+		}
+		return sc
+	}
+	closed, err := Parse(closedDeterministicSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.DurationMS = 300
-	m := NewMetrics()
-	e := &Engine{Scenario: sc, Client: fakeClient{}, Clock: &virtualClock{}, MaxInFlight: -1, Metrics: m}
-	rep, err := e.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	m.Render(&b)
-	out := b.String()
-	for _, want := range []string{
-		`piumaload_requests_total{class="gold"}`,
-		`piumaload_outcomes_total{outcome="ok"}`,
-		"piumaload_request_seconds_bucket",
-		"piumaload_in_flight 0",
+	for _, tc := range []struct {
+		name          string
+		sc            Scenario
+		requests      int64
+		trace, report string
+	}{
+		{"canonical", named("canonical", 1000), 31,
+			"55614a73e548c65171abf38071ccd102f8dc4a94451d7269397d720c4a2983db",
+			"dba7e61e79be5acb56ac7688684d2fe3ccf8dd987da9bc8803d71bfe5d7d527f"},
+		{"diurnal", named("diurnal", 1000), 92,
+			"59969ea9a411f93828335611d5b1c3d1758cd91f22e20774db0ddca4449045ba",
+			"1090ec1c2ffd1d30463c4f15dec7b786b92091e33feefecb5ccb9f9ed60e3d4e"},
+		{"smoke", named("smoke", 0), 33,
+			"ed8fc9de165e3e9ea4bef366fb934c07bc58408b2c8a7c37996545fa900ac0dc",
+			"8ca405be67005215ea60ed59606c93c1e95dd23c82e0ff4fd33014fa7ede3284"},
+		{"closed", closed, 25,
+			"103b7097b1f8e0209df05767fa6211cd81341086af286eba2979b1524c29281a",
+			"4c76fae887112e5d2034a32ec94dfeb4efe80247b93b314a127e18c725d28a2a"},
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q:\n%s", want, out)
+		trace, rep := runDeterministic(t, tc.sc)
+		if rep.Requests != tc.requests {
+			t.Errorf("%s: %d requests, want %d", tc.name, rep.Requests, tc.requests)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(trace)); got != tc.trace {
+			t.Errorf("%s: trace sha256 %s, want %s", tc.name, got, tc.trace)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(reportJSON(t, rep))); got != tc.report {
+			t.Errorf("%s: report sha256 %s, want %s", tc.name, got, tc.report)
 		}
 	}
-	if rep.Completed == 0 {
-		t.Fatal("nothing completed")
+}
+
+var errWriteFailed = errors.New("write failed")
+
+// failAfter accepts n writes, then fails every later one.
+type failAfter struct{ n int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.n == 0 {
+		return 0, errWriteFailed
+	}
+	w.n--
+	return len(p), nil
+}
+
+// sleepyClient holds every request for 100ms and counts those in flight.
+type sleepyClient struct{ inFlight atomic.Int64 }
+
+func (c *sleepyClient) Do(ctx context.Context, req Request) Response {
+	c.inFlight.Add(1)
+	defer c.inFlight.Add(-1)
+	time.Sleep(100 * time.Millisecond)
+	return Response{HTTPStatus: 200, RunStatus: "done", Latency: time.Millisecond}
+}
+
+// TestTraceWriteErrorWaitsForInFlight: when a request frame fails to
+// write, Run stops issuing and returns the error only once every
+// request it already dispatched has settled.
+func TestTraceWriteErrorWaitsForInFlight(t *testing.T) {
+	for _, spec := range []string{
+		"seed=1,rate=1000,duration=1s,max-requests=8;tenant=a,class=gold,experiment=table1",
+		"seed=1,mode=closed,concurrency=4,duration=1s,max-requests=8;tenant=a,class=gold,experiment=table1",
+	} {
+		sc, err := Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The header and three request frames land; the fourth fails.
+		tw, err := NewTraceWriter(&failAfter{n: 4}, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client := &sleepyClient{}
+		e := &Engine{Scenario: sc, Client: client, Clock: &virtualClock{}, Trace: tw, MaxInFlight: -1}
+		if _, err := e.Run(context.Background()); !errors.Is(err, errWriteFailed) {
+			t.Fatalf("%s: Run error %v, want %v", sc.Mode, err, errWriteFailed)
+		}
+		if n := client.inFlight.Load(); n != 0 {
+			t.Fatalf("%s: Run returned with %d request(s) still in flight", sc.Mode, n)
+		}
+	}
+}
+
+// TestReadTraceRejectsSeqGap: a trace whose request seqs are not 0, 1,
+// 2, ... in frame order passes CRC and JSON but cannot be replayed, so
+// ReadTrace refuses it and names the offending frame.
+func TestReadTraceRejectsSeqGap(t *testing.T) {
+	sc, err := Parse("seed=1,rate=10,duration=1s;tenant=a,class=gold,experiment=table1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		seqs  []int64
+		frame int
+	}{
+		{[]int64{5}, 1},
+		{[]int64{0, 2}, 2},
+		{[]int64{0, 0}, 2},
+		{[]int64{1, 0}, 1},
+	} {
+		var buf bytes.Buffer
+		if _, err := NewTraceWriter(&buf, sc); err != nil {
+			t.Fatal(err)
+		}
+		fw := store.NewFrameWriter(&buf)
+		for _, seq := range tc.seqs {
+			payload := fmt.Sprintf(`{"kind":"req","seq":%d,"offset_us":0,"tenant":"a","class":"gold","experiment":"table1","options":{}}`, seq)
+			if err := fw.WriteFrame([]byte(payload)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := ReadTrace(&buf)
+		if err == nil {
+			t.Fatalf("seqs %v: ReadTrace accepted the trace", tc.seqs)
+		}
+		if want := fmt.Sprintf("request frame %d ", tc.frame); !strings.Contains(err.Error(), want) {
+			t.Fatalf("seqs %v: error %q does not name %q", tc.seqs, err, want)
+		}
 	}
 }

@@ -74,7 +74,7 @@ type traceHeader struct {
 }
 
 // TraceWriter records a run. It is not safe for concurrent use: the
-// engine serializes writes (requests from the scheduler goroutine,
+// engine serializes writes (request frames under its issue lock,
 // responses in seq order after the run).
 type TraceWriter struct {
 	fw *store.FrameWriter
@@ -94,18 +94,17 @@ func NewTraceWriter(w io.Writer, sc Scenario) (*TraceWriter, error) {
 	return tw, nil
 }
 
-// WriteRequest records one issued request and returns the encoded
-// payload (replay re-frames these bytes verbatim).
-func (tw *TraceWriter) WriteRequest(r TraceRequest) ([]byte, error) {
+// WriteRequest records one issued request.
+func (tw *TraceWriter) WriteRequest(r TraceRequest) error {
 	r.Kind = "req"
 	payload, err := json.Marshal(r)
 	if err != nil {
-		return nil, fmt.Errorf("workload: encoding request %d: %w", r.Seq, err)
+		return fmt.Errorf("workload: encoding request %d: %w", r.Seq, err)
 	}
 	if err := tw.fw.WriteFrame(payload); err != nil {
-		return nil, fmt.Errorf("workload: writing request %d: %w", r.Seq, err)
+		return fmt.Errorf("workload: writing request %d: %w", r.Seq, err)
 	}
-	return payload, nil
+	return nil
 }
 
 // WriteRequestRaw re-frames a recorded request payload byte for byte.
@@ -126,9 +125,6 @@ func (tw *TraceWriter) WriteResponse(r TraceResponse) error {
 	return nil
 }
 
-// BytesWritten is the trace's size so far.
-func (tw *TraceWriter) BytesWritten() int64 { return tw.fw.BytesWritten() }
-
 // Trace is a fully decoded recording.
 type Trace struct {
 	Scenario Scenario
@@ -140,7 +136,8 @@ type Trace struct {
 }
 
 // ReadTrace decodes a recording. It fails on a missing or misplaced
-// scenario header, an unknown record kind, or a corrupt frame
+// scenario header, an unknown record kind, request seqs that are not
+// 0, 1, 2, ... in frame order, or a corrupt frame
 // (truncated response suffixes from a crashed run are NOT an error:
 // requests without responses simply stay unsettled).
 func ReadTrace(r io.Reader) (*Trace, error) {
@@ -172,6 +169,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			var req TraceRequest
 			if err := json.Unmarshal(payload, &req); err != nil {
 				return nil, fmt.Errorf("workload: decoding request frame %d: %v", n, err)
+			}
+			if want := int64(len(tr.Requests)); req.Seq != want {
+				return nil, fmt.Errorf("workload: request frame %d has seq %d, want %d", n, req.Seq, want)
 			}
 			tr.Requests = append(tr.Requests, req)
 			tr.RawRequests = append(tr.RawRequests, append([]byte(nil), payload...))

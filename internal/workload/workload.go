@@ -1,7 +1,7 @@
-// Package workload is the serving tier's traffic engine: an open-loop
-// load generator that drives internal/serve (live over HTTP or as an
-// in-process handler) with seeded, deterministic arrival processes and
-// multi-tenant client mixes, records every issued request and response
+// Package workload is the serving tier's traffic engine: a load
+// generator that drives internal/serve (live over HTTP or as an
+// in-process handler) with seeded, deterministic arrival processes or
+// closed worker populations and multi-tenant client mixes, records every issued request and response
 // to a replayable trace, and reduces the outcome to a structured report
 // — per-SLO-class latency percentiles, achieved vs offered throughput,
 // error/backpressure accounting and a Jain fairness index across
@@ -16,11 +16,15 @@
 //	            inter-arrivals) pushed through the inverse cumulative
 //	            rate of the diurnal curve: identical seeds produce
 //	            identical request schedules, always.
-//	Engine    — the open-loop driver: requests are issued at their
-//	            scheduled offsets regardless of how many are still in
-//	            flight (the defining property of an open-loop generator:
-//	            a slow server does not slow the workload down, it piles
-//	            up), each tagged with its tenant's SLO class.
+//	Engine    — one driver for open, closed and replay runs. Open
+//	            loop issues requests at their scheduled offsets however
+//	            many are still in flight (a slow server does not slow
+//	            the workload down, it piles up); closed loop runs a fixed
+//	            worker population with think time; replay re-issues a
+//	            trace's schedule. All three share one issue/settle/report
+//	            path, and each request carries its tenant's SLO class.
+//	            The outcomes are read from the Report and the trace; the
+//	            engine keeps no live metric registry of its own.
 //	Trace     — record/replay on internal/store's length-prefixed
 //	            CRC32C framing. Replaying a trace re-issues the recorded
 //	            request payloads byte for byte.

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Load-generation smoke test: boot piumaserve, drive the ~2s "smoke"
-# scenario through piumaload recording a trace, require a clean report
-# (every request completed, zero errors, zero backpressure), then
-# replay the recorded trace against the same server and require the
-# replay to come back clean too.
+# Load-generation smoke test: boot piumaserve, then for the ~2s open-
+# loop "smoke" scenario and the ~2s closed-loop "closed" scenario drive
+# piumaload recording a trace, require a clean report (every request
+# completed, zero errors, zero backpressure), then replay the recorded
+# trace against the same server and require the replay to come back
+# clean too.
 #
 # Usage: scripts/load_smoke.sh [addr]
 set -euo pipefail
@@ -12,7 +13,6 @@ ADDR="${1:-127.0.0.1:8093}"
 BASE="http://$ADDR"
 TMP="$(mktemp -d)"
 LOG="$TMP/serve.log"
-TRACE="$TMP/run.trace"
 REPORT="$TMP/report.json"
 PID=""
 
@@ -52,25 +52,32 @@ for _ in $(seq 1 100); do
 done
 curl -sf "$BASE/healthz" >/dev/null || fail "server never became healthy on $ADDR"
 
-echo "== run the smoke scenario, recording a trace =="
-"$LOAD" -target "$BASE" -scenario smoke -record "$TRACE" -json \
-    -fail-on-backpressure >"$REPORT" || fail "piumaload run exited non-zero"
+# record_and_replay <scenario> runs the scenario recording a trace,
+# then replays the trace; both reports must be clean.
+record_and_replay() {
+    local name="$1" trace="$TMP/$1.trace"
+    echo "== run the $name scenario, recording a trace =="
+    "$LOAD" -target "$BASE" -scenario "$name" -record "$trace" -json \
+        -fail-on-backpressure >"$REPORT" || fail "piumaload $name run exited non-zero"
 
-REQUESTS=$(json_int requests <"$REPORT")
-COMPLETED=$(json_int completed <"$REPORT")
-ERRORS=$(json_int errors <"$REPORT")
-[ -n "$REQUESTS" ] && [ "$REQUESTS" -ge 1 ] || fail "report issued no requests: $(cat "$REPORT")"
-[ "$COMPLETED" = "$REQUESTS" ] || fail "only $COMPLETED of $REQUESTS requests completed: $(cat "$REPORT")"
-[ "${ERRORS:-1}" = 0 ] || fail "report shows $ERRORS error(s): $(cat "$REPORT")"
-echo "recorded run clean: $COMPLETED/$REQUESTS completed, 0 errors"
+    REQUESTS=$(json_int requests <"$REPORT")
+    COMPLETED=$(json_int completed <"$REPORT")
+    ERRORS=$(json_int errors <"$REPORT")
+    [ -n "$REQUESTS" ] && [ "$REQUESTS" -ge 1 ] || fail "$name report issued no requests: $(cat "$REPORT")"
+    [ "$COMPLETED" = "$REQUESTS" ] || fail "$name: only $COMPLETED of $REQUESTS requests completed: $(cat "$REPORT")"
+    [ "${ERRORS:-1}" = 0 ] || fail "$name report shows $ERRORS error(s): $(cat "$REPORT")"
+    echo "recorded $name run clean: $COMPLETED/$REQUESTS completed, 0 errors"
 
-echo "== replay the recorded trace =="
-"$LOAD" -target "$BASE" -replay "$TRACE" -json \
-    -fail-on-backpressure >"$REPORT" || fail "piumaload replay exited non-zero"
-RCOMPLETED=$(json_int completed <"$REPORT")
-RERRORS=$(json_int errors <"$REPORT")
-[ "$RCOMPLETED" = "$REQUESTS" ] || fail "replay completed $RCOMPLETED of $REQUESTS: $(cat "$REPORT")"
-[ "${RERRORS:-1}" = 0 ] || fail "replay shows $RERRORS error(s): $(cat "$REPORT")"
-grep -q '"replayed": true' "$REPORT" || fail "replay report not marked replayed"
+    echo "== replay the recorded $name trace =="
+    "$LOAD" -target "$BASE" -replay "$trace" -json \
+        -fail-on-backpressure >"$REPORT" || fail "piumaload $name replay exited non-zero"
+    RCOMPLETED=$(json_int completed <"$REPORT")
+    RERRORS=$(json_int errors <"$REPORT")
+    [ "$RCOMPLETED" = "$REQUESTS" ] || fail "$name replay completed $RCOMPLETED of $REQUESTS: $(cat "$REPORT")"
+    [ "${RERRORS:-1}" = 0 ] || fail "$name replay shows $RERRORS error(s): $(cat "$REPORT")"
+    grep -q '"replayed": true' "$REPORT" || fail "$name replay report not marked replayed"
+    echo "PASS: $name scenario ran and replayed clean ($REQUESTS requests)"
+}
 
-echo "PASS: smoke scenario ran and replayed clean ($REQUESTS requests)"
+record_and_replay smoke
+record_and_replay closed
