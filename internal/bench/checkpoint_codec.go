@@ -2,9 +2,6 @@ package bench
 
 import (
 	"encoding/json"
-	"fmt"
-	"reflect"
-	"sync"
 
 	"piumagcn/internal/piuma/kernels"
 )
@@ -18,10 +15,11 @@ import (
 // representation encoder).
 
 // Point is the serialized form of one completed sweep point. Kind names
-// the registered Go type of the value ("json" marks a best-effort
-// encoding of an unregistered type, "opaque" a value that could not be
-// encoded at all — both restore as presence-only points: Lookup hits,
-// but type-asserting callers fall back to re-computing the value).
+// the Go type of the value: one of the two types the sweeps store,
+// "json" for a best-effort encoding of any other type, or "opaque" for
+// a value that could not be encoded at all. The last two restore as
+// presence-only points: Lookup hits, but type-asserting callers fall
+// back to re-computing the value.
 type Point struct {
 	Label   string          `json:"label"`
 	Kind    string          `json:"kind"`
@@ -30,80 +28,54 @@ type Point struct {
 }
 
 const (
-	kindJSON   = "json"
-	kindOpaque = "opaque"
+	kindResult     = "kernels.Result"
+	kindWalkResult = "kernels.WalkResult"
+	kindJSON       = "json"
+	kindOpaque     = "opaque"
 )
 
-var (
-	codecMu      sync.RWMutex
-	decodeByKind = map[string]func(json.RawMessage) (any, error){}
-	kindByType   = map[reflect.Type]string{}
-)
-
-// RegisterCheckpointKind teaches the checkpoint codec to round-trip
-// values of type T under the given kind name, so a journaled point
+// encodePoint serializes one completed point. A kernels.Result or
+// kernels.WalkResult keeps its type's kind, so a journaled point
 // decodes back to the concrete type its experiment stored (and the
-// resume fast path in sweep's type assertion keeps hitting).
-// Registering a duplicate kind or type panics: it is a wiring bug.
-func RegisterCheckpointKind[T any](kind string) {
-	codecMu.Lock()
-	defer codecMu.Unlock()
-	rt := reflect.TypeOf((*T)(nil)).Elem()
-	if _, dup := decodeByKind[kind]; dup || kind == kindJSON || kind == kindOpaque {
-		panic("bench: duplicate or reserved checkpoint kind " + kind)
-	}
-	if prev, dup := kindByType[rt]; dup {
-		panic(fmt.Sprintf("bench: type %v already registered as checkpoint kind %q", rt, prev))
-	}
-	decodeByKind[kind] = func(raw json.RawMessage) (any, error) {
-		var v T
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return nil, err
-		}
-		return v, nil
-	}
-	kindByType[rt] = kind
-}
-
-func init() {
-	// The two value types the experiment runners checkpoint today.
-	RegisterCheckpointKind[kernels.Result]("kernels.Result")
-	RegisterCheckpointKind[kernels.WalkResult]("kernels.WalkResult")
-}
-
-// encodePoint serializes one completed point. Unregistered value types
-// degrade gracefully rather than failing the checkpoint: best-effort
-// JSON under kind "json", or a value-less "opaque" point when the value
-// cannot be marshaled — either way the label and summary survive, so
-// partial reports and presence-based resume still work.
+// resume fast path in sweep's type assertion keeps hitting). Other
+// value types degrade gracefully rather than failing the checkpoint:
+// best-effort JSON under kind "json", or a value-less "opaque" point
+// when the value cannot be marshaled — either way the label and
+// summary survive, so partial reports and presence-based resume still
+// work.
 func encodePoint(label string, value any, summary string) Point {
-	p := Point{Label: label, Summary: summary}
-	codecMu.RLock()
-	kind, registered := kindByType[reflect.TypeOf(value)]
-	codecMu.RUnlock()
-	if registered {
-		if raw, err := json.Marshal(value); err == nil {
-			p.Kind, p.Value = kind, raw
-			return p
-		}
-	} else if raw, err := json.Marshal(value); err == nil {
-		p.Kind, p.Value = kindJSON, raw
+	p := Point{Label: label, Summary: summary, Kind: kindOpaque}
+	raw, err := json.Marshal(value)
+	if err != nil {
 		return p
 	}
-	p.Kind = kindOpaque
+	switch value.(type) {
+	case kernels.Result:
+		p.Kind = kindResult
+	case kernels.WalkResult:
+		p.Kind = kindWalkResult
+	default:
+		p.Kind = kindJSON
+	}
+	p.Value = raw
 	return p
 }
 
 // decodePointValue recovers the Go value of a serialized point. Points
-// of unregistered or degraded kinds restore as their raw JSON — present
-// for Lookup, useless to type asserts, which is the safe fallback (the
-// caller re-computes).
+// of other or degraded kinds, and values that do not decode as their
+// kind (a journal is outside input), restore as their raw JSON —
+// present for Lookup, useless to type asserts, which is the safe
+// fallback (the caller re-computes).
 func decodePointValue(p Point) any {
-	codecMu.RLock()
-	decode, ok := decodeByKind[p.Kind]
-	codecMu.RUnlock()
-	if ok {
-		if v, err := decode(p.Value); err == nil {
+	switch p.Kind {
+	case kindResult:
+		var v kernels.Result
+		if json.Unmarshal(p.Value, &v) == nil {
+			return v
+		}
+	case kindWalkResult:
+		var v kernels.WalkResult
+		if json.Unmarshal(p.Value, &v) == nil {
 			return v
 		}
 	}

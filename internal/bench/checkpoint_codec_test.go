@@ -30,8 +30,8 @@ func sampleResult() kernels.Result {
 	}
 }
 
-// TestCheckpointCodecRoundTrip: a checkpoint holding registered value
-// types must survive serialize → JSON → restore with the concrete
+// TestCheckpointCodecRoundTrip: a checkpoint holding the kernels value
+// types the sweeps store must survive serialize → JSON → restore with the concrete
 // values intact, and the serialized form must be deterministic.
 func TestCheckpointCodecRoundTrip(t *testing.T) {
 	cp := NewCheckpoint()
@@ -85,7 +85,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointCodecUnregisteredKinds: values of unregistered types
+// TestCheckpointCodecUnregisteredKinds: values of any other type
 // degrade to presence-only points — Lookup hits (so sweep resume still
 // skips the point) but the value is the raw JSON, so type-asserting
 // callers recompute instead of crashing.

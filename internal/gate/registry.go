@@ -158,9 +158,6 @@ func (reg *Registry) Healthy() []*Replica {
 	return out
 }
 
-// HealthyCount is the number of currently healthy replicas.
-func (reg *Registry) HealthyCount() int { return len(reg.Healthy()) }
-
 // ProbeAll probes every replica that is due (its backoff window has
 // passed), in registration order. A failing replica is probed ever
 // more lazily on the backoff schedule instead of being hammered.

@@ -35,15 +35,3 @@ func names() string {
 	}
 	return s
 }
-
-// Applicable selects the analyzers whose default scope covers the
-// package.
-func Applicable(pkgPath, pkgName string) []*Analyzer {
-	var out []*Analyzer
-	for _, a := range All() {
-		if a.Applies == nil || a.Applies(pkgPath, pkgName) {
-			out = append(out, a)
-		}
-	}
-	return out
-}

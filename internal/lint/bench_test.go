@@ -7,8 +7,8 @@ import (
 
 // BenchmarkInterproceduralAnalyzers times one analysis pass per
 // analyzer over its fixture package (loading and type-checking happen
-// once, outside the loop): the marginal cost a warm piumalint run pays
-// per package, and the number the result cache is amortizing.
+// once, outside the loop): the marginal cost a piumalint run pays per
+// package once it is loaded.
 func BenchmarkInterproceduralAnalyzers(b *testing.B) {
 	l, err := NewLoader(".")
 	if err != nil {
@@ -22,25 +22,10 @@ func BenchmarkInterproceduralAnalyzers(b *testing.B) {
 		}
 		b.Run(a.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if diags := Run(pkg, []*Analyzer{a}); len(diags) == 0 {
+				if diags := Run([]*Package{pkg}, []*Analyzer{a}); len(diags) == 0 {
 					b.Fatal("fixture produced no diagnostics")
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkClosureHash times the parse-only content hashing the result
-// cache keys from — the fixed cost a fully warm piumalint run pays per
-// package in place of type-checking.
-func BenchmarkClosureHash(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		l, err := NewLoader(".")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := l.ClosureHash("piumagcn/internal/lint/testdata/src/lockorder"); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -84,25 +84,33 @@ func TestCallEdgesDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunModuleFiltersToTargets checks that a module analyzer's
-// diagnostics are kept only when they anchor in a target package, even
-// though the analysis sees the whole closure: the lockorder cycles all
-// anchor in the root fixture package, so targeting only the sub
-// package must report nothing.
-func TestRunModuleFiltersToTargets(t *testing.T) {
+// TestRunFiltersToTargets checks that an analyzer's diagnostics are
+// kept only when they anchor in one of its targets, even though its
+// module view sees the whole dependency closure: an analyzer reporting
+// at every function of the lockorder fixture's module keeps only the
+// root package's findings when the root is the only target.
+func TestRunFiltersToTargets(t *testing.T) {
 	pkg := loadLockorderFixture(t)
-	m := NewModule(pkg)
-	sub := m.Package("piumagcn/internal/lint/testdata/src/lockorder/sub")
-	if sub == nil {
-		t.Fatal("sub package missing from module view")
+	everyFunc := &Analyzer{
+		Name: "everyfunc",
+		Run: func(p *Pass) {
+			for _, fi := range p.Module.Funcs() {
+				p.Reportf(fi.Decl.Pos(), "%s", funcDisplay(fi))
+			}
+		},
 	}
-	diags := RunModule(m, []*Package{sub}, []*Analyzer{LockOrderAnalyzer})
-	if len(diags) != 0 {
-		t.Fatalf("targeting sub reported %d diagnostics anchored outside it: %v", len(diags), diags)
-	}
-	all := RunModule(m, []*Package{pkg}, []*Analyzer{LockOrderAnalyzer})
-	if len(all) == 0 {
+	diags := Run([]*Package{pkg}, []*Analyzer{everyFunc})
+	if len(diags) == 0 {
 		t.Fatal("targeting the root fixture reported nothing")
+	}
+	rootDir := filepath.Dir(pkg.Fset.Position(pkg.Files[0].Pos()).Filename)
+	for _, d := range diags {
+		if filepath.Dir(d.Path) != rootDir {
+			t.Errorf("diagnostic anchored outside the target package: %v", d)
+		}
+	}
+	if len(diags) == len(NewModule(pkg).Funcs()) {
+		t.Fatal("the module view holds no function outside the target, so nothing was filtered")
 	}
 }
 
@@ -151,77 +159,11 @@ func launch() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(pkg, []*Analyzer{GoroLifetimeAnalyzer})
+	diags := Run([]*Package{pkg}, []*Analyzer{GoroLifetimeAnalyzer})
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want exactly the unsuppressed launch: %v", len(diags), diags)
 	}
 	if diags[0].Line != 9 {
 		t.Errorf("diagnostic at line %d, want line 9 (the unsuppressed go statement)", diags[0].Line)
-	}
-}
-
-// TestScanMetadataAndClosureHash checks the parse-only Scan layer the
-// result cache keys from: names, dep edges, and a closure hash that
-// moves if and only if content in the dependency closure moves.
-func TestScanMetadataAndClosureHash(t *testing.T) {
-	files := map[string]string{
-		"a/a.go": "package a\n\nimport \"tmpmod/b\"\n\nfunc A() int { return b.B() }\n",
-		"b/b.go": "package b\n\nfunc B() int { return 1 }\n",
-		"c/c.go": "package c\n\nfunc C() int { return 2 }\n",
-	}
-	root := writeTempModule(t, files)
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, err := l.Scan("tmpmod/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Name != "a" {
-		t.Errorf("Name = %q, want a", meta.Name)
-	}
-	if len(meta.Deps) != 1 || meta.Deps[0] != "tmpmod/b" {
-		t.Errorf("Deps = %v, want [tmpmod/b]", meta.Deps)
-	}
-
-	hashA, err := l.ClosureHash("tmpmod/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Rewriting a dependency changes the closure hash (fresh loader:
-	// Scan results are cached per loader by design).
-	if err := os.WriteFile(filepath.Join(root, "b", "b.go"),
-		[]byte("package b\n\nfunc B() int { return 42 }\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hashA2, err := l2.ClosureHash("tmpmod/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hashA == hashA2 {
-		t.Error("closure hash unchanged after a dependency edit")
-	}
-
-	// Rewriting an unrelated package does not move the hash.
-	if err := os.WriteFile(filepath.Join(root, "c", "c.go"),
-		[]byte("package c\n\nfunc C() int { return 3 }\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l3, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hashA3, err := l3.ClosureHash("tmpmod/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hashA2 != hashA3 {
-		t.Error("closure hash moved after an edit outside the closure")
 	}
 }

@@ -29,40 +29,42 @@ var CtxHygieneAnalyzer = &Analyzer{
 }
 
 func runCtxHygiene(p *Pass) {
-	for _, f := range p.Files {
-		var stack []bool // ctx-parameter availability per enclosing function
-		var walk func(n ast.Node) bool
-		walk = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				stack = append(stack, hasCtxParam(p, n.Type))
-				if n.Body != nil {
+	for _, pkg := range p.Targets {
+		for _, f := range pkg.Files {
+			var stack []bool // ctx-parameter availability per enclosing function
+			var walk func(n ast.Node) bool
+			walk = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					stack = append(stack, hasCtxParam(pkg, n.Type))
+					if n.Body != nil {
+						ast.Inspect(n.Body, walk)
+					}
+					stack = stack[:len(stack)-1]
+					return false
+				case *ast.FuncLit:
+					stack = append(stack, hasCtxParam(pkg, n.Type))
 					ast.Inspect(n.Body, walk)
-				}
-				stack = stack[:len(stack)-1]
-				return false
-			case *ast.FuncLit:
-				stack = append(stack, hasCtxParam(p, n.Type))
-				ast.Inspect(n.Body, walk)
-				stack = stack[:len(stack)-1]
-				return false
-			case *ast.CallExpr:
-				pkg, name, ok := pkgQualifiedCallee(p.Info, n)
-				if !ok || pkg != "context" {
-					return true
-				}
-				switch name {
-				case "TODO":
-					p.Reportf(n.Pos(), "context.TODO() marks unfinished context plumbing; pass a real context through")
-				case "Background":
-					if anyTrue(stack) {
-						p.Reportf(n.Pos(), "context.Background() discards the caller's context; derive from the ctx parameter so cancellation and deadlines propagate")
+					stack = stack[:len(stack)-1]
+					return false
+				case *ast.CallExpr:
+					path, name, ok := pkgQualifiedCallee(pkg.Info, n)
+					if !ok || path != "context" {
+						return true
+					}
+					switch name {
+					case "TODO":
+						p.Reportf(n.Pos(), "context.TODO() marks unfinished context plumbing; pass a real context through")
+					case "Background":
+						if anyTrue(stack) {
+							p.Reportf(n.Pos(), "context.Background() discards the caller's context; derive from the ctx parameter so cancellation and deadlines propagate")
+						}
 					}
 				}
+				return true
 			}
-			return true
+			ast.Inspect(f, walk)
 		}
-		ast.Inspect(f, walk)
 	}
 }
 
@@ -77,12 +79,12 @@ func anyTrue(bs []bool) bool {
 
 // hasCtxParam reports whether the function type declares a parameter
 // of type context.Context.
-func hasCtxParam(p *Pass, ft *ast.FuncType) bool {
+func hasCtxParam(pkg *Package, ft *ast.FuncType) bool {
 	if ft.Params == nil {
 		return false
 	}
 	for _, field := range ft.Params.List {
-		tv, ok := p.Info.Types[field.Type]
+		tv, ok := pkg.Info.Types[field.Type]
 		if !ok || tv.Type == nil {
 			continue
 		}

@@ -45,7 +45,7 @@ var DeterTaintAnalyzer = &Analyzer{
 	Doc: "track wall-clock, global-rand and map-iteration-order taint through " +
 		"values and calls into journal writes, codec encodes, metric labels, event logs " +
 		"and, in the simulation and codec packages, any output",
-	RunModule: runDeterTaint,
+	Run: runDeterTaint,
 	Applies: scopedTo("internal/gate", "internal/chaos",
 		"internal/serve", "internal/store",
 		"internal/sim", "internal/piuma", "internal/spmm", "internal/faults", "internal/bench"),
@@ -164,7 +164,7 @@ func (st *taintState) taintObj(obj types.Object, src taintSet) {
 	st.obj[obj] = st.merge(st.obj[obj], src)
 }
 
-func runDeterTaint(p *ModulePass) {
+func runDeterTaint(p *Pass) {
 	st := &taintState{
 		m:   p.Module,
 		obj: make(map[types.Object]taintSet),
@@ -487,7 +487,7 @@ var deterTaintSinks = []sinkRule{
 
 // reportSinks walks one function and reports tainted values reaching
 // sinks.
-func (st *taintState) reportSinks(p *ModulePass, fi *FuncInfo) {
+func (st *taintState) reportSinks(p *Pass, fi *FuncInfo) {
 	info := fi.Pkg.Info
 	fset := fi.Pkg.Fset
 	report := func(pos token.Pos, ts taintSet, what string) {

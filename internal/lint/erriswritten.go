@@ -33,51 +33,53 @@ var writeMethods = map[string]bool{
 }
 
 func runErrIsWritten(p *Pass) {
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			stmt, ok := n.(*ast.ExprStmt)
-			if !ok {
+	for _, pkg := range p.Targets {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				stmt, ok := n.(*ast.ExprStmt)
+				if !ok {
+					return true
+				}
+				call, ok := stmt.X.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if name, ok := discardedWrite(pkg, call); ok {
+					p.Reportf(call.Pos(), "%s returns an error that is discarded; a lost write is silent data loss — handle it, or assign to _ with a comment if it is genuinely best-effort", name)
+				}
 				return true
-			}
-			call, ok := stmt.X.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if name, ok := discardedWrite(p, call); ok {
-				p.Reportf(call.Pos(), "%s returns an error that is discarded; a lost write is silent data loss — handle it, or assign to _ with a comment if it is genuinely best-effort", name)
-			}
-			return true
-		})
+			})
+		}
 	}
 }
 
 // discardedWrite reports whether call is a write-shaped call whose
 // error result the enclosing expression statement drops, returning a
 // printable callee name.
-func discardedWrite(p *Pass, call *ast.CallExpr) (string, bool) {
-	if !returnsError(p, call) {
+func discardedWrite(pkg *Package, call *ast.CallExpr) (string, bool) {
+	if !returnsError(pkg, call) {
 		return "", false
 	}
-	if pkg, name, ok := pkgQualifiedCallee(p.Info, call); ok && pkg == "fmt" &&
+	if path, name, ok := pkgQualifiedCallee(pkg.Info, call); ok && path == "fmt" &&
 		(name == "Fprint" || name == "Fprintf" || name == "Fprintln") {
-		if len(call.Args) > 0 && infallibleWriter(p.Info.Types[call.Args[0]].Type) {
+		if len(call.Args) > 0 && infallibleWriter(pkg.Info.Types[call.Args[0]].Type) {
 			return "", false
 		}
 		return "fmt." + name, true
 	}
-	recv, name, ok := methodCallee(p, call)
+	recv, name, ok := methodCallee(pkg, call)
 	if !ok || !writeMethods[name] {
 		return "", false
 	}
 	if infallibleWriter(recv) {
 		return "", false
 	}
-	return exprString(p.Fset, call.Fun), true
+	return exprString(pkg.Fset, call.Fun), true
 }
 
 // returnsError reports whether the call's results include an error.
-func returnsError(p *Pass, call *ast.CallExpr) bool {
-	tv, ok := p.Info.Types[call]
+func returnsError(pkg *Package, call *ast.CallExpr) bool {
+	tv, ok := pkg.Info.Types[call]
 	if !ok || tv.Type == nil {
 		return false
 	}
@@ -99,12 +101,12 @@ var errorInterface = types.Universe.Lookup("error").Type()
 func isErrorType(t types.Type) bool { return types.Identical(t, errorInterface) }
 
 // methodCallee resolves a method call to (receiver type, method name).
-func methodCallee(p *Pass, call *ast.CallExpr) (types.Type, string, bool) {
+func methodCallee(pkg *Package, call *ast.CallExpr) (types.Type, string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return nil, "", false
 	}
-	s, ok := p.Info.Selections[sel]
+	s, ok := pkg.Info.Selections[sel]
 	if !ok || s.Kind() != types.MethodVal {
 		return nil, "", false
 	}

@@ -99,9 +99,8 @@ func checkGolden(t *testing.T, a *Analyzer, dir string, want []string) {
 	}
 }
 
-// fixtureFindings runs a over every package at or below dir (one module
-// view for a module analyzer) and renders the findings with paths
-// relative to dir.
+// fixtureFindings runs a over every package at or below dir and renders
+// the findings with paths relative to dir.
 func fixtureFindings(t *testing.T, a *Analyzer, dir string) []string {
 	t.Helper()
 	l := loaderForFixtures(t)
@@ -117,14 +116,7 @@ func fixtureFindings(t *testing.T, a *Analyzer, dir string) []string {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	var diags []Diagnostic
-	if a.RunModule != nil {
-		diags = RunModule(NewModule(pkgs...), pkgs, []*Analyzer{a})
-	} else {
-		for _, pkg := range pkgs {
-			diags = append(diags, Run(pkg, []*Analyzer{a})...)
-		}
-	}
+	diags := Run(pkgs, []*Analyzer{a})
 	absDir, err := filepath.Abs(dir)
 	if err != nil {
 		t.Fatalf("Abs(%s): %v", dir, err)
@@ -139,7 +131,7 @@ func fixtureFindings(t *testing.T, a *Analyzer, dir string) []string {
 	for i := range diags {
 		diags[i].Path, diags[i].Message = rel(diags[i].Path), rel(diags[i].Message)
 	}
-	SortDiagnostics(diags)
+	sortDiagnostics(diags)
 	got := make([]string, len(diags))
 	for i, d := range diags {
 		got[i] = d.String()

@@ -20,11 +20,11 @@ var GoroLifetimeAnalyzer = &Analyzer{
 	Name: "gorolifetime",
 	Doc: "flag goroutines whose body can never reach its exit — no ctx/done " +
 		"stop path, no join, no reachable return — and so outlives every owner",
-	RunModule: runGoroLifetime,
-	Applies:   notMain,
+	Run:     runGoroLifetime,
+	Applies: notMain,
 }
 
-func runGoroLifetime(p *ModulePass) {
+func runGoroLifetime(p *Pass) {
 	m := p.Module
 
 	cfgs := make(map[*FuncInfo]*CFG)

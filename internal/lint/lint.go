@@ -6,6 +6,10 @@
 // go/types with the source importer — no golang.org/x/tools dependency —
 // and is driven by cmd/piumalint.
 //
+// Every analyzer has the same form: one Run hook over a Pass holding
+// its target packages and the module view they close over. Run is the
+// one driver: it scopes, runs, suppresses and sorts.
+//
 // A finding can be suppressed with a directive on (or directly above)
 // the offending line:
 //
@@ -13,7 +17,7 @@
 //
 // The analyzer list may name several analyzers separated by commas, or
 // "all". The reason is mandatory: a suppression without one is itself
-// reported.
+// reported, whichever analyzers run.
 package lint
 
 import (
@@ -39,39 +43,41 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Path, d.Line, d.Col, d.Analyzer, d.Message)
 }
 
-// Analyzer is one named check over a type-checked package.
+// Analyzer is one named check over a set of type-checked packages.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics, -analyzer filters and
 	// //lint:ignore directives.
 	Name string
 	// Doc is a one-paragraph description for usage text.
 	Doc string
-	// Run inspects one package and reports findings through the pass.
-	// Nil for module-level analyzers.
+	// Run inspects the pass's target packages and reports findings
+	// through the pass. Package-local analyzers loop over p.Targets;
+	// interprocedural ones (lockorder, gorolifetime, detertaint) walk
+	// p.Module, whose call edges cross package boundaries.
 	Run func(*Pass)
-	// RunModule inspects the whole module view at once — the hook for
-	// interprocedural analyzers (lockorder, gorolifetime, detertaint)
-	// that must see call edges crossing package boundaries. Nil for
-	// per-package analyzers.
-	RunModule func(*ModulePass)
-	// Applies scopes the analyzer during unfiltered runs: it reports
-	// whether the analyzer should run on the package at the given import
-	// path. For module analyzers it decides which packages' files may
-	// carry diagnostics. An explicit -analyzer selection bypasses it.
-	// Nil means the analyzer applies everywhere.
+	// Applies scopes the analyzer during default runs: it reports
+	// whether the package at the given import path is one of the
+	// analyzer's targets, so only its files may carry the analyzer's
+	// diagnostics. An explicit selection bypasses it. Nil means the
+	// analyzer applies everywhere.
 	Applies func(pkgPath, pkgName string) bool
 }
 
-// Pass is one analyzer's view of one package.
+// Pass is one analyzer's view of its target packages.
 type Pass struct {
-	*Package
+	// Module is the targets plus their module-internal dependency
+	// closure.
+	Module *Module
+	// Targets are the packages under analysis, in the order Run was
+	// given them. Findings outside their files are dropped by Run.
+	Targets  []*Package
 	analyzer *Analyzer
 	diags    *[]Diagnostic
 }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
+	position := p.Targets[0].Fset.Position(pos)
 	*p.diags = append(*p.diags, Diagnostic{
 		Path:     position.Filename,
 		Line:     position.Line,
@@ -95,102 +101,54 @@ type Package struct {
 	Deps []*Package
 }
 
-// ModulePass is one module analyzer's view of the whole module.
-type ModulePass struct {
-	// Module is the package closure under analysis.
-	Module   *Module
-	analyzer *Analyzer
-	diags    *[]Diagnostic
-}
-
-// Reportf records a finding at pos. Findings outside the run's target
-// packages are dropped by RunModule.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Module.Packages[0].Fset.Position(pos)
-	*p.diags = append(*p.diags, Diagnostic{
-		Path:     position.Filename,
-		Line:     position.Line,
-		Col:      position.Column,
-		Analyzer: p.analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Run executes the analyzers over the package, applies //lint:ignore
-// suppressions, and returns the surviving diagnostics sorted by
-// position. Malformed directives are reported under the analyzer name
-// "directive".
-func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	var perPkg, module []*Analyzer
-	for _, a := range analyzers {
-		if a.RunModule != nil {
-			module = append(module, a)
-		} else {
-			perPkg = append(perPkg, a)
-		}
+// Run analyzes pkgs, which must share one FileSet, and returns the
+// findings sorted by position. With selected nil, every analyzer runs
+// over the packages its Applies admits; otherwise the selected
+// analyzers run over all of pkgs. Each analyzer's findings are kept
+// only in its own targets' files, with //lint:ignore suppressions
+// applied. Malformed directives in any of pkgs are reported once, under
+// the analyzer name "directive".
+func Run(pkgs []*Package, selected []*Analyzer) []Diagnostic {
+	analyzers := selected
+	if selected == nil {
+		analyzers = All()
 	}
+	var dirs []directive
 	var diags []Diagnostic
-	for _, a := range perPkg {
-		pass := &Pass{Package: pkg, analyzer: a, diags: &diags}
-		a.Run(pass)
+	for _, pkg := range pkgs {
+		ds, malformed := collectDirectives(pkg)
+		dirs = append(dirs, ds...)
+		diags = append(diags, malformed...)
 	}
-	directives, malformed := collectDirectives(pkg)
-	diags = append(diags, malformed...)
-	kept := diags[:0]
-	for _, d := range diags {
-		if !suppressed(d, directives) {
-			kept = append(kept, d)
-		}
-	}
-	diags = kept
-	if len(module) > 0 {
-		// Module analyzers see the package plus its module-internal dep
-		// closure, reporting into this package only.
-		diags = append(diags, RunModule(NewModule(pkg), []*Package{pkg}, module)...)
-	}
-	SortDiagnostics(diags)
-	return diags
-}
-
-// RunModule executes module-level analyzers over m, keeping only
-// diagnostics positioned in the target packages' files with their
-// //lint:ignore suppressions applied. Malformed directives are not
-// re-reported here — Run reports them once per package.
-func RunModule(m *Module, targets []*Package, analyzers []*Analyzer) []Diagnostic {
-	if len(m.Packages) == 0 {
-		return nil
-	}
-	var diags []Diagnostic
 	for _, a := range analyzers {
-		if a.RunModule == nil {
+		var targets []*Package
+		targetFiles := make(map[string]bool)
+		for _, pkg := range pkgs {
+			if selected != nil || a.Applies == nil || a.Applies(pkg.Path, pkg.Types.Name()) {
+				targets = append(targets, pkg)
+				for _, f := range pkg.Files {
+					targetFiles[pkg.Fset.Position(f.Pos()).Filename] = true
+				}
+			}
+		}
+		if len(targets) == 0 {
 			continue
 		}
-		mp := &ModulePass{Module: m, analyzer: a, diags: &diags}
-		a.RunModule(mp)
-	}
-	targetFiles := make(map[string]bool)
-	var dirs []directive
-	for _, pkg := range targets {
-		for _, f := range pkg.Files {
-			targetFiles[pkg.Fset.Position(f.Pos()).Filename] = true
-		}
-		ds, _ := collectDirectives(pkg)
-		dirs = append(dirs, ds...)
-	}
-	kept := diags[:0]
-	for _, d := range diags {
-		if targetFiles[d.Path] && !suppressed(d, dirs) {
-			kept = append(kept, d)
+		var found []Diagnostic
+		a.Run(&Pass{Module: NewModule(targets...), Targets: targets, analyzer: a, diags: &found})
+		for _, d := range found {
+			if targetFiles[d.Path] && !suppressed(d, dirs) {
+				diags = append(diags, d)
+			}
 		}
 	}
-	diags = kept
-	SortDiagnostics(diags)
+	sortDiagnostics(diags)
 	return diags
 }
 
-// SortDiagnostics orders diagnostics by position, then analyzer, then
-// message — the stable order every runner and cache emits.
-func SortDiagnostics(diags []Diagnostic) {
+// sortDiagnostics orders diagnostics by position, then analyzer, then
+// message.
+func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Path != b.Path {

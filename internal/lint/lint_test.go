@@ -33,7 +33,8 @@ func reportAtLines(name string, lines ...int) *Analyzer {
 	return &Analyzer{
 		Name: name,
 		Run: func(p *Pass) {
-			file := p.Fset.File(p.Files[0].Pos())
+			pkg := p.Targets[0]
+			file := pkg.Fset.File(pkg.Files[0].Pos())
 			for _, ln := range lines {
 				p.Reportf(file.LineStart(ln), "finding on line %d", ln)
 			}
@@ -52,7 +53,7 @@ func f() {
 }
 `
 	pkg := parsePkg(t, src)
-	diags := Run(pkg, []*Analyzer{reportAtLines("det", 4, 6, 7)})
+	diags := Run([]*Package{pkg}, []*Analyzer{reportAtLines("det", 4, 6, 7)})
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want 1 (lines 4 and 6 suppressed): %v", len(diags), diags)
 	}
@@ -74,7 +75,7 @@ func f() {
 }
 `
 	pkg := parsePkg(t, src)
-	diags := Run(pkg, []*Analyzer{
+	diags := Run([]*Package{pkg}, []*Analyzer{
 		reportAtLines("det", 5, 7, 9),
 		reportAtLines("lock", 5, 7),
 	})
@@ -95,7 +96,7 @@ func f() {
 }
 `
 	pkg := parsePkg(t, src)
-	diags := Run(pkg, []*Analyzer{reportAtLines("det", 5)})
+	diags := Run([]*Package{pkg}, []*Analyzer{reportAtLines("det", 5)})
 	if len(diags) != 2 {
 		t.Fatalf("got %d diagnostics, want 2 (the finding plus the malformed directive): %v", len(diags), diags)
 	}
@@ -126,7 +127,7 @@ func f() {
 }
 `
 	pkg := parsePkg(t, src)
-	diags := Run(pkg, []*Analyzer{
+	diags := Run([]*Package{pkg}, []*Analyzer{
 		reportAtLines("zz", 4),
 		reportAtLines("aa", 6, 4),
 	})

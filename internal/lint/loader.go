@@ -27,7 +27,6 @@ type Loader struct {
 	std     types.ImporterFrom
 	pkgs    map[string]*Package
 	loading map[string]bool
-	metas   map[string]*PackageMeta
 }
 
 // NewLoader finds the module root at or above dir (by locating go.mod)

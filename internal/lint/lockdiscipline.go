@@ -28,32 +28,34 @@ var LockDisciplineAnalyzer = &Analyzer{
 }
 
 func runLockDiscipline(p *Pass) {
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				body = n.Body
-			case *ast.FuncLit:
-				body = n.Body
-			}
-			if body == nil {
-				return true
-			}
-			walkHeld(nil, p.Package, "", body, func(ev lockEvent, held map[lockHold]lockAcq) {
-				if ev.blocks == "" || len(held) == 0 {
-					return
+	for _, pkg := range p.Targets {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var body *ast.BlockStmt
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					body = n.Body
+				case *ast.FuncLit:
+					body = n.Body
 				}
-				var first lockAcq // the earliest acquisition still held
-				for _, h := range held {
-					if !first.pos.IsValid() || h.pos < first.pos {
-						first = h
+				if body == nil {
+					return true
+				}
+				walkHeld(nil, pkg, "", body, func(ev lockEvent, held map[lockHold]lockAcq) {
+					if ev.blocks == "" || len(held) == 0 {
+						return
 					}
-				}
-				p.Reportf(ev.pos, "%s while %s is held (locked at %s) can block the lock holder indefinitely; move the wait outside the critical section", ev.blocks, first.recv, p.Fset.Position(first.pos))
+					var first lockAcq // the earliest acquisition still held
+					for _, h := range held {
+						if !first.pos.IsValid() || h.pos < first.pos {
+							first = h
+						}
+					}
+					p.Reportf(ev.pos, "%s while %s is held (locked at %s) can block the lock holder indefinitely; move the wait outside the critical section", ev.blocks, first.recv, pkg.Fset.Position(first.pos))
+				})
+				return true
 			})
-			return true
-		})
+		}
 	}
 }
 

@@ -31,8 +31,8 @@ var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc: "report cycles in the interprocedural lock-acquisition order " +
 		"(mutexes acquired while other mutexes are held) as potential deadlocks",
-	RunModule: runLockOrder,
-	Applies:   notMain,
+	Run:     runLockOrder,
+	Applies: notMain,
 }
 
 // lockAcq is one acquisition event: a stable lock key, the printed
@@ -74,7 +74,7 @@ type lockFacts struct {
 	calls    []lockCallSite
 }
 
-func runLockOrder(p *ModulePass) {
+func runLockOrder(p *Pass) {
 	m := p.Module
 	fset := m.Packages[0].Fset
 

@@ -60,24 +60,26 @@ var boundedFields = map[string]bool{
 const labelTraceDepth = 4
 
 func runMetricLabels(p *Pass) {
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isObsWith(p, call) {
+	for _, pkg := range p.Targets {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || !isObsWith(pkg, call) {
+					return true
+				}
+				for _, arg := range call.Args {
+					checkLabelValue(p, pkg, arg, labelTraceDepth, make(map[types.Object]bool))
+				}
 				return true
-			}
-			for _, arg := range call.Args {
-				checkLabelValue(p, arg, labelTraceDepth, make(map[types.Object]bool))
-			}
-			return true
-		})
+			})
+		}
 	}
 }
 
 // isObsWith matches method calls With(...) on the obs package's
 // labeled-family types.
-func isObsWith(p *Pass, call *ast.CallExpr) bool {
-	recv, name, ok := methodCallee(p, call)
+func isObsWith(pkg *Package, call *ast.CallExpr) bool {
+	recv, name, ok := methodCallee(pkg, call)
 	if !ok || name != "With" {
 		return false
 	}
@@ -103,23 +105,23 @@ func isObsWith(p *Pass, call *ast.CallExpr) bool {
 }
 
 // checkLabelValue reports expr unless it is provably bounded.
-func checkLabelValue(p *Pass, expr ast.Expr, depth int, visiting map[types.Object]bool) {
+func checkLabelValue(p *Pass, pkg *Package, expr ast.Expr, depth int, visiting map[types.Object]bool) {
 	if depth <= 0 {
-		p.Reportf(expr.Pos(), "label value %s flows through too many layers to prove bounded; pass a constant or a bounded field", exprString(p.Fset, expr))
+		p.Reportf(expr.Pos(), "label value %s flows through too many layers to prove bounded; pass a constant or a bounded field", exprString(pkg.Fset, expr))
 		return
 	}
 	// Compile-time constants are always fine.
-	if tv, ok := p.Info.Types[expr]; ok && tv.Value != nil {
+	if tv, ok := pkg.Info.Types[expr]; ok && tv.Value != nil {
 		return
 	}
 	switch e := expr.(type) {
 	case *ast.SelectorExpr:
-		if q, ok := fieldQualifier(p, e); ok && boundedFields[q] {
+		if q, ok := fieldQualifier(pkg, e); ok && boundedFields[q] {
 			return
 		}
-		p.Reportf(expr.Pos(), "metric label value %s is not constant and %s is not in the bounded vocabulary; unbounded labels leak a series per distinct value", exprString(p.Fset, expr), fieldName(p, e))
+		p.Reportf(expr.Pos(), "metric label value %s is not constant and %s is not in the bounded vocabulary; unbounded labels leak a series per distinct value", exprString(pkg.Fset, expr), fieldName(pkg, e))
 	case *ast.Ident:
-		obj := p.Info.Uses[e]
+		obj := pkg.Info.Uses[e]
 		v, ok := obj.(*types.Var)
 		if !ok {
 			p.Reportf(expr.Pos(), "metric label value %s is not constant; unbounded labels leak a series per distinct value", e.Name)
@@ -129,17 +131,17 @@ func checkLabelValue(p *Pass, expr ast.Expr, depth int, visiting map[types.Objec
 			return // already being proven higher up this trace
 		}
 		visiting[v] = true
-		checkParamFlow(p, e, v, depth, visiting)
+		checkParamFlow(p, pkg, e, v, depth, visiting)
 	default:
-		p.Reportf(expr.Pos(), "metric label value %s is not constant; unbounded labels leak a series per distinct value", exprString(p.Fset, expr))
+		p.Reportf(expr.Pos(), "metric label value %s is not constant; unbounded labels leak a series per distinct value", exprString(pkg.Fset, expr))
 	}
 }
 
 // checkParamFlow proves a variable used as a label value: it must be a
 // parameter of an unexported function whose package-local call sites
 // all pass allowed values.
-func checkParamFlow(p *Pass, use *ast.Ident, v *types.Var, depth int, visiting map[types.Object]bool) {
-	fn, idx := enclosingParam(p, v)
+func checkParamFlow(p *Pass, pkg *Package, use *ast.Ident, v *types.Var, depth int, visiting map[types.Object]bool) {
+	fn, idx := enclosingParam(pkg, v)
 	if fn == nil {
 		p.Reportf(use.Pos(), "metric label value %s is a variable, not a constant or traced parameter; unbounded labels leak a series per distinct value", v.Name())
 		return
@@ -148,17 +150,17 @@ func checkParamFlow(p *Pass, use *ast.Ident, v *types.Var, depth int, visiting m
 		p.Reportf(use.Pos(), "metric label value %s is a parameter of exported %s; callers outside the package cannot be checked — accept only constants or bounded fields", v.Name(), fn.Name.Name)
 		return
 	}
-	fnObj := p.Info.Defs[fn.Name]
+	fnObj := pkg.Info.Defs[fn.Name]
 	callSites := 0
-	for _, f := range p.Files {
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || calleeObject(p, call) != fnObj {
+			if !ok || calleeObject(pkg, call) != fnObj {
 				return true
 			}
 			callSites++
 			if idx < len(call.Args) {
-				checkLabelValue(p, call.Args[idx], depth-1, visiting)
+				checkLabelValue(p, pkg, call.Args[idx], depth-1, visiting)
 			}
 			return true
 		})
@@ -170,8 +172,8 @@ func checkParamFlow(p *Pass, use *ast.Ident, v *types.Var, depth int, visiting m
 
 // enclosingParam finds the function declaration that declares v as a
 // parameter, and the parameter's index.
-func enclosingParam(p *Pass, v *types.Var) (*ast.FuncDecl, int) {
-	for _, f := range p.Files {
+func enclosingParam(pkg *Package, v *types.Var) (*ast.FuncDecl, int) {
+	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Type.Params == nil {
@@ -180,7 +182,7 @@ func enclosingParam(p *Pass, v *types.Var) (*ast.FuncDecl, int) {
 			idx := 0
 			for _, field := range fd.Type.Params.List {
 				for _, name := range field.Names {
-					if p.Info.Defs[name] == v {
+					if pkg.Info.Defs[name] == v {
 						return fd, idx
 					}
 					idx++
@@ -196,19 +198,19 @@ func enclosingParam(p *Pass, v *types.Var) (*ast.FuncDecl, int) {
 
 // calleeObject resolves the function object a call invokes (nil for
 // indirect calls).
-func calleeObject(p *Pass, call *ast.CallExpr) types.Object {
+func calleeObject(pkg *Package, call *ast.CallExpr) types.Object {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
-		return p.Info.Uses[fun]
+		return pkg.Info.Uses[fun]
 	case *ast.SelectorExpr:
-		return p.Info.Uses[fun.Sel]
+		return pkg.Info.Uses[fun.Sel]
 	}
 	return nil
 }
 
 // fieldQualifier renders a selected field as "pkgname.Type.Field".
-func fieldQualifier(p *Pass, sel *ast.SelectorExpr) (string, bool) {
-	s, ok := p.Info.Selections[sel]
+func fieldQualifier(pkg *Package, sel *ast.SelectorExpr) (string, bool) {
+	s, ok := pkg.Info.Selections[sel]
 	if !ok || s.Kind() != types.FieldVal {
 		return "", false
 	}
@@ -226,9 +228,9 @@ func fieldQualifier(p *Pass, sel *ast.SelectorExpr) (string, bool) {
 	return named.Obj().Pkg().Name() + "." + named.Obj().Name() + "." + sel.Sel.Name, true
 }
 
-func fieldName(p *Pass, sel *ast.SelectorExpr) string {
-	if q, ok := fieldQualifier(p, sel); ok {
+func fieldName(pkg *Package, sel *ast.SelectorExpr) string {
+	if q, ok := fieldQualifier(pkg, sel); ok {
 		return q
 	}
-	return exprString(p.Fset, sel)
+	return exprString(pkg.Fset, sel)
 }

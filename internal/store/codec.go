@@ -22,7 +22,6 @@ import (
 // writer themselves or use Journal.
 type FrameWriter struct {
 	w io.Writer
-	n int64
 }
 
 // NewFrameWriter wraps w.
@@ -42,16 +41,11 @@ func (fw *FrameWriter) WriteFrame(payload []byte) error {
 	}
 	frame := AppendFrame(nil, payload)
 	n, err := fw.w.Write(frame)
-	fw.n += int64(n)
 	if err == nil && n != len(frame) {
 		err = io.ErrShortWrite
 	}
 	return err
 }
-
-// BytesWritten is the total byte count written so far, including frame
-// headers.
-func (fw *FrameWriter) BytesWritten() int64 { return fw.n }
 
 // FrameScanner streams frames off an io.Reader, stopping at the first
 // torn or corrupt frame exactly like ScanFrames: the consumed valid

@@ -37,9 +37,6 @@ func TestFrameWriterGolden(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("frame encoding drifted from golden:\n got %x\nwant %x", buf.Bytes(), want)
 	}
-	if fw.BytesWritten() != int64(len(want)) {
-		t.Fatalf("BytesWritten = %d, want %d", fw.BytesWritten(), len(want))
-	}
 }
 
 // TestFrameWriterMatchesJournalEncoder pins the writer to AppendFrame:
