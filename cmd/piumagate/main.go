@@ -1,8 +1,8 @@
 // Command piumagate is the cluster front door for multi-replica
 // serving (see internal/gate): an HTTP proxy exposing the same /v1/*
-// API as piumaserve while fanning out to N replicas behind a pluggable
-// routing policy, with active health probing, token-bucket admission
-// control, per-SLO-class quotas and mid-flight failover.
+// API as piumaserve while fanning out to N replicas, with active health
+// probing, token-bucket admission control, per-SLO-class quotas and
+// mid-flight failover.
 //
 // Usage:
 //
@@ -10,7 +10,7 @@
 //	piumaserve -addr :8082 -replica b1 &
 //	piumagate -addr :8080 \
 //	    -backends http://127.0.0.1:8081,http://127.0.0.1:8082 \
-//	    -policy cache-affinity -rate 200 -quota gold=100 -quota batch=10
+//	    -rate 200 -quota gold=100 -quota batch=10
 //
 // Then every existing client works unchanged against the cluster:
 //
@@ -20,15 +20,16 @@
 //	curl localhost:8080/v1/gate/backends
 //	curl localhost:8080/metrics
 //
-// Routing policies (-policy): round-robin, cache-affinity.
-// Cache-affinity consistent-hashes the
-// content-addressed RunID so repeat submissions land on the replica
-// that already caches the result.
+// Placement: each run goes to the healthy replica with the highest
+// rendezvous hash of (RunID, replica name). The RunID is a content
+// address, so repeat submissions land on the replica that already
+// caches the result, and the replicas share fresh runs evenly.
 //
 // A backend that dies mid-request is marked down and the submission is
-// resubmitted to the next healthy replica — safe because RunIDs are
-// content addresses and runs are journaled server-side, so the worst
-// case is a dedup or cache hit, never a duplicate simulation.
+// resubmitted to the run's home among the remaining healthy replicas —
+// safe because RunIDs are content addresses and runs are journaled
+// server-side, so the worst case is a dedup or cache hit, never a
+// duplicate simulation.
 //
 // Liveness: -markdown-after consecutive failed probes, or a forwarded
 // request dying on the wire, demotes a replica. Only a passing probe or
@@ -88,7 +89,6 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
 		backends      = flag.String("backends", "", "comma-separated replica base URLs (required)")
-		policy        = flag.String("policy", gate.PolicyRoundRobin, "routing policy: "+strings.Join(gate.Policies(), ", "))
 		rate          = flag.Float64("rate", 0, "global admission rate in runs/second (0 = unlimited)")
 		burst         = flag.Float64("burst", 0, "admission token-bucket depth (0 = max(1, rate))")
 		probeInterval = flag.Duration("probe-interval", time.Second, "health-probe period (negative disables active probing)")
@@ -138,7 +138,6 @@ func main() {
 
 	g, err := gate.New(gate.Config{
 		Backends:          urls,
-		Policy:            *policy,
 		Seed:              *seed,
 		ProbeInterval:     *probeInterval,
 		ProbeTimeout:      *probeTimeout,
@@ -171,8 +170,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("piumagate listening on %s (%d backend(s), policy %s)",
-			*addr, len(g.Registry().All()), g.Policy())
+		log.Printf("piumagate listening on %s (%d backend(s))", *addr, len(g.Registry().All()))
 		errc <- httpSrv.ListenAndServe()
 	}()
 

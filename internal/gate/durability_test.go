@@ -173,9 +173,10 @@ func TestReconcilerRehomesOrphanedRuns(t *testing.T) {
 	})
 	h := g.Handler()
 
-	// Round-robin spreads three distinct runs across the three replicas.
+	// Three distinct runs, one homed on each replica.
+	homed := homedSeeds(t, 3, 1)
 	for i := 0; i < 3; i++ {
-		if rec := postRun(t, h, submitBody(i), nil); rec.Code != http.StatusAccepted {
+		if rec := postRun(t, h, submitBody(homed[i][0]), nil); rec.Code != http.StatusAccepted {
 			t.Fatalf("submit %d: status %d: %s", i, rec.Code, rec.Body.String())
 		}
 	}
@@ -203,6 +204,10 @@ func TestReconcilerRehomesOrphanedRuns(t *testing.T) {
 	run, ok := g.Ledger().Run(orphan)
 	if !ok || run.Backend == "b1" || run.Backend == "" {
 		t.Fatalf("orphan not re-homed: %+v", run)
+	}
+	reps := g.Registry().All()
+	if want := home(orphan, []*Replica{reps[0], reps[2]}).Name; run.Backend != want {
+		t.Fatalf("orphan re-homed to %s, want its home among the survivors, %s", run.Backend, want)
 	}
 	if run.Rehomed != 1 {
 		t.Fatalf("orphan re-home count = %d, want 1", run.Rehomed)
@@ -317,9 +322,12 @@ func durabilityScenario(t *testing.T) (decisions, exposition []byte) {
 	h := g.Handler()
 	ctx := context.Background()
 
+	// Four distinct runs homed on b0, b1, b2 and b0: exactly one is
+	// b2's.
 	classes := []string{"gold", "silver", "batch", "gold"}
+	homed := homedSeeds(t, 3, 2)
 	for i := 0; i < 4; i++ {
-		rec := postRun(t, h, submitBody(i), map[string]string{serve.SLOClassHeader: classes[i]})
+		rec := postRun(t, h, submitBody(homed[i%3][i/3]), map[string]string{serve.SLOClassHeader: classes[i]})
 		if rec.Code != http.StatusAccepted {
 			t.Fatalf("submit %d: status %d: %s", i, rec.Code, rec.Body.String())
 		}

@@ -1,8 +1,7 @@
 // Package gate is the cluster front door for multi-replica serving: a
-// sharded, policy-routed HTTP proxy that fans out to N piumaserve
-// replicas while exposing the exact same /v1/* API, so piumaload,
-// serve.Client and every existing tool work unchanged against a
-// cluster.
+// sharded HTTP proxy that fans out to N piumaserve replicas while
+// exposing the exact same /v1/* API, so piumaload, serve.Client and
+// every existing tool work unchanged against a cluster.
 //
 // The moving parts:
 //
@@ -12,25 +11,25 @@
 //	            probes and transport errors demote; only a passing
 //	            probe or an answered submission promotes. The open
 //	            circuit's cooldown follows the probe backoff.
-//	Router    — pluggable routing policies behind one interface:
-//	            round-robin (pure function of the request sequence)
-//	            and cache-affinity (consistent hashing of the
-//	            content-addressed RunID, so repeat submissions of the
-//	            same options land on the replica that already holds
-//	            the cached result).
+//	home      — the one placement rule: rendezvous hashing of the
+//	            content-addressed RunID over the candidate replicas,
+//	            so repeat submissions of the same options land on the
+//	            replica that already holds the cached result. Submits,
+//	            per-run reads and the reconciler's re-homing all use it.
 //	Admission — token-bucket rate limiting plus per-SLO-class quotas
 //	            keyed on the X-SLO-Class header; over-quota requests
 //	            get 429 with Retry-After before any backend sees them.
 //	Failover  — a submission whose backend dies mid-flight is
-//	            resubmitted to the next healthy replica. This is safe
-//	            because run IDs are content addresses and runs are
-//	            checkpointed and journaled server-side: the worst case
-//	            is a dedup hit, never a duplicate simulation.
+//	            resubmitted to the replica home picks without it.
+//	            This is safe because run IDs are content addresses
+//	            and runs are checkpointed and journaled server-side:
+//	            the worst case is a dedup hit, never a duplicate
+//	            simulation.
 //
-// Routing decisions are a pure function of (seed, request sequence)
-// under an injected Clock, so a simulated cluster routes byte-
-// identically across runs — the same determinism contract the rest of
-// the repo holds.
+// Routing decisions are a pure function of the request stream and the
+// replicas' health under an injected Clock, so a simulated cluster
+// routes byte-identically across runs — the same determinism contract
+// the rest of the repo holds.
 package gate
 
 import (
@@ -66,8 +65,6 @@ type Decision struct {
 	Seq uint64 `json:"seq"`
 	// RunID is the content address the request routed on.
 	RunID string `json:"run_id"`
-	// Policy is the routing policy that made the pick.
-	Policy string `json:"policy"`
 	// Backend is the chosen replica's name.
 	Backend string `json:"backend"`
 	// Attempt is 0 for the first pick; >0 marks a failover re-pick
@@ -83,8 +80,9 @@ type Config struct {
 	// names are assigned by index ("b0", "b1", ...), which is what
 	// bounds the per-backend metric label vocabulary.
 	Backends []string
-	// Policy selects the router: PolicyRoundRobin (default) or
-	// PolicyCacheAffinity.
+	// Policy stays only for the benchmark harness, which sets
+	// PolicyCacheAffinity. New accepts "" or PolicyCacheAffinity and
+	// rejects any other value; placement is always home.
 	Policy string
 	// Seed drives the backoff jitter of probes and circuit cooldowns.
 	// Routing itself consumes no randomness; the seed exists so the full
@@ -157,9 +155,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Policy == "" {
-		c.Policy = PolicyRoundRobin
-	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = time.Second
 	}
@@ -187,12 +182,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Gate owns the replica registry, the router, admission control and
-// the proxy handler.
+// Gate owns the replica registry, admission control and the proxy
+// handler.
 type Gate struct {
 	cfg     Config
 	reg     *Registry
-	router  Router
 	adm     *admission
 	metrics *metrics
 	clock   Clock
@@ -218,6 +212,9 @@ func New(cfg Config) (*Gate, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("gate: at least one backend is required")
 	}
+	if cfg.Policy != "" && cfg.Policy != PolicyCacheAffinity {
+		return nil, fmt.Errorf("gate: unknown routing policy %q (valid: %s)", cfg.Policy, PolicyCacheAffinity)
+	}
 	// Check the classes in sorted order, so a config with several bad
 	// classes always names the same one.
 	classes := make([]string, 0, len(cfg.ClassQuotas))
@@ -235,15 +232,10 @@ func New(cfg Config) (*Gate, error) {
 	if err != nil {
 		return nil, err
 	}
-	router, err := NewRouter(cfg.Policy, reg.All())
-	if err != nil {
-		return nil, err
-	}
 	ctx, stop := context.WithCancel(context.Background())
 	g := &Gate{
 		cfg:     cfg,
 		reg:     reg,
-		router:  router,
 		adm:     newAdmission(cfg),
 		metrics: m,
 		clock:   cfg.Clock,
@@ -280,9 +272,6 @@ func New(cfg Config) (*Gate, error) {
 
 // Registry exposes the replica set (health introspection, tests).
 func (g *Gate) Registry() *Registry { return g.reg }
-
-// Policy is the active routing policy name.
-func (g *Gate) Policy() string { return g.router.Policy() }
 
 // ProbeAll probes every replica that is due (synchronously, in index
 // order). The background loop calls this on its ticker; tests call it

@@ -82,12 +82,11 @@ func submitBody(seed int) string {
 // routeSequence runs a fixed 12-request sequence through a fresh gate
 // under an injected clock and returns the routing-decision log as JSON
 // plus the /metrics exposition bytes.
-func routeSequence(t *testing.T, policy string, urls []string) (decisions, exposition []byte) {
+func routeSequence(t *testing.T, urls []string) (decisions, exposition []byte) {
 	t.Helper()
 	var log []Decision
 	g := mustGate(t, Config{
 		Backends:      urls,
-		Policy:        policy,
 		Seed:          1,
 		ProbeInterval: -1,
 		Clock:         newFixedClock(),
@@ -118,46 +117,24 @@ func routeSequence(t *testing.T, policy string, urls []string) (decisions, expos
 
 // TestRoutingDeterministic is the gate's determinism contract: under an
 // injected clock and fixed seed, an identical request sequence produces
-// a byte-identical decision log and byte-identical aggregated /metrics,
-// for every routing policy.
+// a byte-identical decision log and byte-identical aggregated /metrics.
 func TestRoutingDeterministic(t *testing.T) {
 	urls := []string{fakeBackend(t).URL, fakeBackend(t).URL, fakeBackend(t).URL}
-	for _, policy := range Policies() {
-		d1, m1 := routeSequence(t, policy, urls)
-		d2, m2 := routeSequence(t, policy, urls)
-		if string(d1) != string(d2) {
-			t.Errorf("%s: decision logs differ:\n%s\nvs\n%s", policy, d1, d2)
-		}
-		if string(m1) != string(m2) {
-			t.Errorf("%s: /metrics differ across identical runs:\n%s\nvs\n%s", policy, m1, m2)
-		}
+	d1, m1 := routeSequence(t, urls)
+	d2, m2 := routeSequence(t, urls)
+	if string(d1) != string(d2) {
+		t.Errorf("decision logs differ:\n%s\nvs\n%s", d1, d2)
 	}
-}
-
-// TestRoundRobinCycles pins the round-robin decision function: backend
-// index = sequence mod healthy count.
-func TestRoundRobinCycles(t *testing.T) {
-	urls := []string{fakeBackend(t).URL, fakeBackend(t).URL, fakeBackend(t).URL}
-	decisions, _ := routeSequence(t, PolicyRoundRobin, urls)
-	var log []Decision
-	if err := json.Unmarshal(decisions, &log); err != nil {
-		t.Fatal(err)
-	}
-	if len(log) != 12 {
-		t.Fatalf("want 12 decisions, got %d", len(log))
-	}
-	for i, d := range log {
-		if want := "b" + strconv.Itoa(i%3); d.Backend != want {
-			t.Fatalf("decision %d: want %s, got %s", i, want, d.Backend)
-		}
+	if string(m1) != string(m2) {
+		t.Errorf("/metrics differ across identical runs:\n%s\nvs\n%s", m1, m2)
 	}
 }
 
 // TestAffinityRepeatsStick checks that repeat submissions of the same
-// options route to the same backend under cache-affinity.
+// options route to the same backend.
 func TestAffinityRepeatsStick(t *testing.T) {
 	urls := []string{fakeBackend(t).URL, fakeBackend(t).URL, fakeBackend(t).URL}
-	decisions, _ := routeSequence(t, PolicyCacheAffinity, urls)
+	decisions, _ := routeSequence(t, urls)
 	var log []Decision
 	if err := json.Unmarshal(decisions, &log); err != nil {
 		t.Fatal(err)
@@ -204,16 +181,17 @@ func TestFailoverOnBackendDeath(t *testing.T) {
 	var log []Decision
 	g := mustGate(t, Config{
 		Backends:      []string{dead.URL, live.URL},
-		Policy:        PolicyRoundRobin,
 		ProbeInterval: -1,
 		Clock:         newFixedClock(),
 		OnDecision:    func(d Decision) { log = append(log, d) },
 	})
 	h := g.Handler()
 
-	// Seq 0 routes to b0 (dead) first, then fails over to b1.
+	// The run's home is b0 (dead): it routes there first, then fails
+	// over to b1.
+	seed := homedSeeds(t, 2, 1)[0][0]
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", strings.NewReader(submitBody(1))))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", strings.NewReader(submitBody(seed))))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("failover submit: status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -339,9 +317,9 @@ func instantExperiment(id string) bench.Experiment {
 	}
 }
 
-// newCluster builds two real piumaserve replicas behind a gate with the
-// given policy, and returns a serve.Client pointed at the gate.
-func newCluster(t *testing.T, policy string) *serve.Client {
+// newCluster builds two real piumaserve replicas behind a gate and
+// returns a serve.Client pointed at the gate.
+func newCluster(t *testing.T) *serve.Client {
 	t.Helper()
 	urls := make([]string, 2)
 	for i := range urls {
@@ -358,20 +336,21 @@ func newCluster(t *testing.T, policy string) *serve.Client {
 		})
 		urls[i] = ts.URL
 	}
-	g := mustGate(t, Config{Backends: urls, Policy: policy, ProbeInterval: -1})
+	g := mustGate(t, Config{Backends: urls, ProbeInterval: -1})
 	gts := httptest.NewServer(g.Handler())
 	t.Cleanup(gts.Close)
 	return serve.NewClient(gts.URL, nil)
 }
 
-// cacheHitsFor submits K distinct runs through the gate, then submits
-// the identical set again and counts how many came back cached.
-func cacheHitsFor(t *testing.T, policy string) int {
-	t.Helper()
-	client := newCluster(t, policy)
+// TestRepeatSubmissionsHitCache is the cache-affinity acceptance
+// criterion, end to end over real serve replicas: K distinct runs are
+// submitted through the gate, then the identical set again, and every
+// repeat lands on the replica that already holds the result.
+func TestRepeatSubmissionsHitCache(t *testing.T) {
+	client := newCluster(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	const k = 7 // odd, so round-robin's second pass lands on the other replica
+	const k = 7
 	opts := func(i int) bench.Options {
 		return bench.Options{Quick: true, MaxSimEdges: 1 << 10, Seed: int64(100 + i)}
 	}
@@ -390,29 +369,15 @@ func cacheHitsFor(t *testing.T, policy string) int {
 			hits++
 		}
 	}
-	return hits
-}
-
-// TestAffinityBeatsRoundRobin is the cache-affinity acceptance
-// criterion, end to end over real serve replicas: repeat submissions
-// under cache-affinity always land on the replica that already holds
-// the result, while round-robin (with an odd batch size) lands every
-// repeat on the cold replica.
-func TestAffinityBeatsRoundRobin(t *testing.T) {
-	affinityHits := cacheHitsFor(t, PolicyCacheAffinity)
-	rrHits := cacheHitsFor(t, PolicyRoundRobin)
-	if affinityHits != 7 {
-		t.Errorf("cache-affinity should hit the cache on every repeat: got %d/7", affinityHits)
-	}
-	if affinityHits <= rrHits {
-		t.Errorf("cache-affinity hit rate (%d) should beat round-robin (%d)", affinityHits, rrHits)
+	if hits != k {
+		t.Errorf("every repeat should hit the cache: got %d/%d", hits, k)
 	}
 }
 
 // TestGateAPISurface covers the proxied read endpoints end to end:
 // list, get, profile, experiments, backends introspection.
 func TestGateAPISurface(t *testing.T) {
-	client := newCluster(t, PolicyCacheAffinity)
+	client := newCluster(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	res, status, err := client.SubmitAndWait(ctx, "table1", bench.Options{Quick: true, MaxSimEdges: 1 << 10, Seed: 5}, "silver")

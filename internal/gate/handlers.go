@@ -2,11 +2,13 @@ package gate
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -31,12 +33,12 @@ const maxSubmitBytes = 1 << 20
 // piumaserve, plus the gate's own introspection:
 //
 //	GET    /v1/experiments     proxied to the first healthy replica
-//	POST   /v1/runs            admission → routing policy → forward
+//	POST   /v1/runs            admission → home → forward
 //	                           (failover on backend death)
 //	GET    /v1/runs            fan-out merge of every replica's runs
-//	GET    /v1/runs/{id}       fan-out lookup (ledger or affinity home first)
+//	GET    /v1/runs/{id}       fan-out lookup (ledger's backend or home first)
 //	GET    /v1/runs/{id}/profile  fan-out lookup
-//	DELETE /v1/runs/{id}       fan-out cancel
+//	DELETE /v1/runs/{id}       cancel at the first replica that knows the run
 //	GET    /v1/gate/backends   replica registry status
 //	GET    /healthz            200 while ≥1 replica is healthy
 //	GET    /metrics            gate families + scraped per-backend aggregates
@@ -109,7 +111,7 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	runID := serve.RunID(req.Experiment, *req.Options)
-	rc := RouteContext{Seq: g.seq.Add(1) - 1, RunID: runID, Class: class}
+	seq := g.seq.Add(1) - 1
 	deadline := g.parseDeadline(r, start)
 
 	// Durable intake: journal the admitted run before any backend sees
@@ -177,7 +179,7 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			circuitRefused = true
 			break
 		}
-		rep := g.router.Pick(rc, avail)
+		rep := home(runID, avail)
 		if !g.reg.observe(rep, claim) {
 			// A concurrent request took the half-open trial slot between
 			// the availability check and the claim.
@@ -185,12 +187,9 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if g.cfg.OnDecision != nil {
-			g.cfg.OnDecision(Decision{
-				Seq: rc.Seq, RunID: runID,
-				Policy: g.router.Policy(), Backend: rep.Name, Attempt: attempt,
-			})
+			g.cfg.OnDecision(Decision{Seq: seq, RunID: runID, Backend: rep.Name, Attempt: attempt})
 		}
-		g.metrics.incRouted(g.router.Policy(), rep.Name)
+		g.metrics.incRouted(rep.Name)
 		if attempt > 0 {
 			g.metrics.incFailover()
 		}
@@ -281,9 +280,8 @@ func (g *Gate) parseDeadline(r *http.Request, start time.Time) time.Time {
 
 // handleRead serves the per-run read/cancel endpoints by trying each
 // healthy replica in order until one knows the run. The replica the
-// intake ledger routed the run to is tried first (under the
-// cache-affinity policy, without a record, the run's ring home), so the
-// common case is a single upstream request.
+// intake ledger routed the run to is tried first (without a record, the
+// run's home), so the common case is a single upstream request.
 func (g *Gate) handleRead(w http.ResponseWriter, r *http.Request) {
 	start := g.clock.Now()
 	id := r.PathValue("id")
@@ -299,9 +297,7 @@ func (g *Gate) handleRead(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "no healthy backend")
 		return
 	}
-	if home := g.readHome(id, candidates); home != nil {
-		candidates = preferFirst(candidates, home)
-	}
+	candidates = preferFirst(candidates, g.readHome(id, candidates))
 	var last *http.Response
 	for _, rep := range candidates {
 		resp, err := g.forward(r, rep, r.Method, path, nil, deadline)
@@ -340,8 +336,7 @@ func (g *Gate) handleRead(w http.ResponseWriter, r *http.Request) {
 
 // readHome is the replica a read of run id asks first: the backend the
 // intake ledger last routed the run to, or, when the ledger has no
-// healthy backend on record, the affinity ring's pick. Nil keeps
-// registration order.
+// healthy backend on record, the run's home among candidates.
 func (g *Gate) readHome(id string, candidates []*Replica) *Replica {
 	if g.ledger != nil {
 		if run, ok := g.ledger.Run(id); ok {
@@ -352,10 +347,7 @@ func (g *Gate) readHome(id string, candidates []*Replica) *Replica {
 			}
 		}
 	}
-	if a, ok := g.router.(*affinity); ok {
-		return a.Pick(RouteContext{RunID: id}, candidates)
-	}
-	return nil
+	return home(id, candidates)
 }
 
 // clusterRun is one run in the gate's merged listing: the backend name
@@ -373,18 +365,14 @@ func (g *Gate) handleList(w http.ResponseWriter, r *http.Request) {
 	runs := make([]clusterRun, 0, 64)
 	reached := false
 	for _, rep := range g.reg.Healthy() {
-		resp, err := g.forward(r, rep, http.MethodGet, "/v1/runs", nil, time.Time{})
+		out, err := g.listRuns(r.Context(), rep, r.URL.RawQuery)
 		if err != nil {
 			if r.Context().Err() != nil {
 				return
 			}
-			g.reg.observe(rep, transportError)
-			continue
-		}
-		var out []serve.RunResource
-		derr := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&out)
-		resp.Body.Close()
-		if derr != nil {
+			if errors.As(err, new(*url.Error)) {
+				g.reg.observe(rep, transportError)
+			}
 			continue
 		}
 		reached = true
@@ -414,6 +402,35 @@ func (g *Gate) handleList(w http.ResponseWriter, r *http.Request) {
 		return runs[i].Backend < runs[j].Backend
 	})
 	writeJSON(w, http.StatusOK, runs)
+}
+
+// listRuns fetches one replica's GET /v1/runs listing, passing query
+// through (the reconciler lists unfiltered with ""). A transport
+// failure comes back as the client's *url.Error; a non-200 answer or an
+// undecodable body is an error of its own.
+func (g *Gate) listRuns(ctx context.Context, rep *Replica, query string) ([]serve.RunResource, error) {
+	u := rep.URL + "/v1/runs"
+	if query != "" {
+		u += "?" + query
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := g.hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		return nil, fmt.Errorf("gate: %s run listing returned %d", rep.Name, resp.StatusCode)
+	}
+	var runs []serve.RunResource
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&runs); err != nil {
+		return nil, fmt.Errorf("gate: decoding %s run listing: %w", rep.Name, err)
+	}
+	return runs, nil
 }
 
 // handleExperiments proxies the registry listing from the first
@@ -450,7 +467,6 @@ func (g *Gate) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	body := map[string]any{
 		"status":   "ok",
-		"policy":   g.router.Policy(),
 		"healthy":  healthy,
 		"backends": statuses,
 	}

@@ -41,7 +41,6 @@ func TestProbesAndForwardsDecideLiveness(t *testing.T) {
 	cut := fakeReplica(t, http.StatusOK)
 	g := mustGate(t, Config{
 		Backends:      []string{draining.URL, cut.URL},
-		Policy:        PolicyRoundRobin,
 		Seed:          1,
 		ProbeInterval: -1,
 		MarkDownAfter: 2,

@@ -11,18 +11,17 @@ import (
 var latencyBounds = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 5, 25, 100, 500}
 
 // metrics is the gate's obs.Registry adapter. Every labeled family is
-// bounded: "class" by the normalized SLO vocabulary, "policy" by the
-// two routing policy constants, and "backend" by the replica
-// registry's fixed name set (gate.Replica.Name — sanctioned in the
-// metriclabels analyzer). All label values reach With through
-// unexported helpers whose call sites pass constants or Replica.Name,
-// which is how piumalint proves the bound.
+// bounded: "class" by the normalized SLO vocabulary and "backend" by
+// the replica registry's fixed name set (gate.Replica.Name —
+// sanctioned in the metriclabels analyzer). All label values reach
+// With through unexported helpers whose call sites pass constants or
+// Replica.Name, which is how piumalint proves the bound.
 type metrics struct {
 	reg *obs.Registry
 
 	requests     *obs.CounterVec // by class
 	rejected     *obs.CounterVec // by admission scope
-	routed       *obs.CounterVec // by policy, backend
+	routed       *obs.CounterVec // by backend
 	failovers    *obs.Counter
 	noBackend    *obs.Counter
 	proxyErrors  *obs.Counter
@@ -69,7 +68,7 @@ func newMetrics() *metrics {
 		rejected: reg.CounterVec("piumagate_admission_rejected_total",
 			"Submissions rejected by admission control, by scope (global rate or class quota).", "scope"),
 		routed: reg.CounterVec("piumagate_routed_total",
-			"Submissions forwarded to a backend, by routing policy and backend.", "policy", "backend"),
+			"Submissions forwarded to a backend, by backend.", "backend"),
 		failovers: reg.Counter("piumagate_failovers_total",
 			"Submissions resubmitted to another replica after a backend died mid-flight."),
 		noBackend: reg.Counter("piumagate_no_backend_total",
@@ -174,19 +173,9 @@ func (m *metrics) incRejected(scope string) {
 
 func (m *metrics) rejectedInc(scope string) { m.rejected.With(scope).Inc() }
 
-// incRouted counts one forward, by policy and backend. Policy values
-// are normalized onto the two constants; backend comes from the
-// registry's fixed name set.
-func (m *metrics) incRouted(policy, backend string) {
-	switch policy {
-	case PolicyRoundRobin:
-		m.routedInc(PolicyRoundRobin, backend)
-	case PolicyCacheAffinity:
-		m.routedInc(PolicyCacheAffinity, backend)
-	}
-}
-
-func (m *metrics) routedInc(policy, backend string) { m.routed.With(policy, backend).Inc() }
+// incRouted counts one forward by its backend (the registry's fixed
+// name set).
+func (m *metrics) incRouted(backend string) { m.routed.With(backend).Inc() }
 
 func (m *metrics) incFailover()   { m.failovers.Inc() }
 func (m *metrics) incNoBackend()  { m.noBackend.Inc() }

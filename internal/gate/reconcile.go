@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 
@@ -23,8 +22,8 @@ import (
 //	           ledger; compaction drops the run.
 //	keep     — a live replica still owns the run; nothing to do.
 //	rehome   — no live replica knows the run (its owner died for
-//	           good): resubmit the journaled (experiment, options) to a
-//	           healthy replica picked by the cache-affinity ring.
+//	           good): resubmit the journaled (experiment, options) to
+//	           the run's home among the reachable replicas.
 //
 // Re-homing is safe for the same reason failover is: the RunID is a
 // content address and replicas deduplicate, so the worst case is a
@@ -101,17 +100,13 @@ func (g *Gate) ReconcileOnce(ctx context.Context) int {
 	if len(reachable) == 0 {
 		return 0
 	}
-	// Orphans re-home through the same consistent-hash ring the
-	// cache-affinity policy routes with, so a re-homed run lands where
-	// its cache entries would.
-	ring := newAffinity(reachable)
 
 	mutations := 0
 	for _, run := range open {
 		if ctx.Err() != nil {
 			return mutations
 		}
-		if g.reconcileRun(ctx, ring, reachable, owned, run.RunID, run.Experiment, run.Options) {
+		if g.reconcileRun(ctx, reachable, owned, run.RunID, run.Experiment, run.Options) {
 			mutations++
 		}
 	}
@@ -120,7 +115,8 @@ func (g *Gate) ReconcileOnce(ctx context.Context) int {
 }
 
 // reconcileRun decides one run; reports whether it re-homed it.
-func (g *Gate) reconcileRun(ctx context.Context, ring *affinity, reachable []*Replica, owned map[string]map[string]string, runID, experiment string, options json.RawMessage) bool {
+// reachable is non-empty.
+func (g *Gate) reconcileRun(ctx context.Context, reachable []*Replica, owned map[string]map[string]string, runID, experiment string, options json.RawMessage) bool {
 	// Collect the run's copies in registration order.
 	var liveRep *Replica // first replica holding a non-terminal copy
 	canceledRep := ""
@@ -154,12 +150,10 @@ func (g *Gate) reconcileRun(ctx context.Context, ring *affinity, reachable []*Re
 		g.recordTerminal(runID, string(serve.StatusCanceled), canceledRep)
 		return false
 	}
-	// Orphan: no live replica knows the run. Re-home it.
-	rep := ring.Pick(RouteContext{RunID: runID}, reachable)
-	if rep == nil {
-		return false
-	}
-	if !g.resubmit(ctx, rep, runID, experiment, options) {
+	// Orphan: no live replica knows the run. Re-home it where
+	// submissions of the same content address now land.
+	rep := home(runID, reachable)
+	if !g.resubmit(ctx, rep, experiment, options) {
 		g.metrics.incRehomeFailure()
 		return false
 	}
@@ -181,23 +175,11 @@ func (g *Gate) recordTerminal(runID, status, backend string) {
 	}
 }
 
-// fetchRuns lists one replica's runs as a runID → status map.
+// fetchRuns lists one replica's runs, unfiltered, as a runID → status
+// map.
 func (g *Gate) fetchRuns(ctx context.Context, rep *Replica) (map[string]string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.URL+"/v1/runs", nil)
+	runs, err := g.listRuns(ctx, rep, "")
 	if err != nil {
-		return nil, err
-	}
-	resp, err := g.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("gate: %s run listing returned %d", rep.Name, resp.StatusCode)
-	}
-	var runs []serve.RunResource
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&runs); err != nil {
 		return nil, err
 	}
 	out := make(map[string]string, len(runs))
@@ -211,7 +193,7 @@ func (g *Gate) fetchRuns(ctx context.Context, rep *Replica) (map[string]string, 
 // content-addressed RunID guarantees the submission is idempotent: if
 // the replica somehow already knows the run, this is a dedup or cache
 // hit.
-func (g *Gate) resubmit(ctx context.Context, rep *Replica, runID, experiment string, options json.RawMessage) bool {
+func (g *Gate) resubmit(ctx context.Context, rep *Replica, experiment string, options json.RawMessage) bool {
 	body, err := json.Marshal(struct {
 		Experiment string          `json:"experiment"`
 		Options    json.RawMessage `json:"options,omitempty"`
@@ -234,6 +216,5 @@ func (g *Gate) resubmit(ctx context.Context, rep *Replica, runID, experiment str
 		return false
 	}
 	g.metrics.incRehomed(rep.Name)
-	_ = runID // the content address rides in the body's (experiment, options)
 	return true
 }

@@ -174,14 +174,13 @@ func TestServerErrorFailover(t *testing.T) {
 	good := fakeBackend(t)
 	g := mustGate(t, Config{
 		Backends:      []string{bad.URL, good.URL},
-		Policy:        PolicyRoundRobin,
 		Seed:          1,
 		ProbeInterval: -1,
 		Clock:         newFixedClock(),
 	})
 	h := g.Handler()
 
-	rec := postRun(t, h, submitBody(1), nil) // seq 0: round-robin picks b0
+	rec := postRun(t, h, submitBody(homedSeeds(t, 2, 1)[0][0]), nil) // homed on b0
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -243,7 +242,6 @@ func TestBreakerUnderProbeFlapHysteresis(t *testing.T) {
 	var moves []BreakerTransition
 	g := mustGate(t, Config{
 		Backends:         []string{flappy.URL, steady.URL},
-		Policy:           PolicyRoundRobin,
 		Seed:             1,
 		ProbeInterval:    -1,
 		MarkDownAfter:    2,
@@ -256,14 +254,16 @@ func TestBreakerUnderProbeFlapHysteresis(t *testing.T) {
 	rep := g.Registry().All()[0]
 
 	healthzFlap.Store(true)
-	// Interleave flapping probes with a 5xx burst: every even-seq
-	// submission round-robins to b0, eats its 5xx and fails over to b1,
-	// charging b0's breaker; every probe round alternates fail/pass and
-	// so never reaches two consecutive failures.
+	// Interleave flapping probes with a 5xx burst: every even-round
+	// submission is homed on b0, eats its 5xx and fails over to b1,
+	// charging b0's breaker; every odd-round one is homed on b1; every
+	// probe round alternates fail/pass and so never reaches two
+	// consecutive failures.
+	homed := homedSeeds(t, 2, 4)
 	for i := 0; i < 6; i++ {
 		g.ProbeAll(ctx)
 		clock.Advance(3 * time.Second) // past any single-failure backoff
-		rec := postRun(t, h, submitBody(i), nil)
+		rec := postRun(t, h, submitBody(homed[i%2][i/2]), nil)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("submit %d: status %d: %s", i, rec.Code, rec.Body.String())
 		}
@@ -282,8 +282,8 @@ func TestBreakerUnderProbeFlapHysteresis(t *testing.T) {
 	// the circuit, with b0 having been registry-healthy the whole time.
 	fail.Store(false)
 	clock.Advance(5 * time.Second)
-	for i := 0; i < 2; i++ { // seq parity: reach b0 again
-		if rec := postRun(t, h, submitBody(10+i), nil); rec.Code != http.StatusOK {
+	for i := 0; i < 2; i++ { // a b0-homed run reaches b0 again
+		if rec := postRun(t, h, submitBody(homed[i][3]), nil); rec.Code != http.StatusOK {
 			t.Fatalf("recovery submit %d: status %d: %s", i, rec.Code, rec.Body.String())
 		}
 	}
@@ -330,7 +330,6 @@ func TestMarkDownHysteresis(t *testing.T) {
 	clock := newFixedClock()
 	g := mustGate(t, Config{
 		Backends:      []string{flappy.URL, steady.URL},
-		Policy:        PolicyCacheAffinity,
 		Seed:          1,
 		ProbeInterval: -1, // probes driven manually below
 		MarkDownAfter: 2,
@@ -339,7 +338,10 @@ func TestMarkDownHysteresis(t *testing.T) {
 	h := g.Handler()
 	ctx := context.Background()
 
-	rec := postRun(t, h, submitBody(7), nil)
+	// A run homed on the flapping b0, so a wrongful demotion would move
+	// it.
+	body := submitBody(homedSeeds(t, 2, 1)[0][0])
+	rec := postRun(t, h, body, nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -358,9 +360,9 @@ func TestMarkDownHysteresis(t *testing.T) {
 	if n := len(g.Registry().Healthy()); n != 2 {
 		t.Fatalf("healthy replicas = %d, want 2", n)
 	}
-	// The affinity ring is untouched: the same submission still routes
+	// The candidate set is untouched: the same submission still routes
 	// to its home replica.
-	rec = postRun(t, h, submitBody(7), nil)
+	rec = postRun(t, h, body, nil)
 	if got := rec.Header().Get(BackendHeader); got != home {
 		t.Fatalf("single failed probe moved the run's home replica: %q -> %q", home, got)
 	}
@@ -437,27 +439,34 @@ func (l *askLog) get() []string {
 // TestReadFindsRunOnLaterReplica pins the read walk past the first
 // candidate: a run held only by the second replica is found whether the
 // first answers 404 or dies on the wire, and when nobody holds it a
-// backend's own 404 body is relayed. Round-robin keeps b0 first, so
-// the owner is never tried first. A run the intake ledger routed to a
-// backend other than its affinity home is read from that backend
-// alone, though every replica would answer.
+// backend's own 404 body is relayed. The run's home is b0, so the
+// owner is never tried first. Without a ledger record a run every
+// replica would answer is read from its home alone, and a run the
+// intake ledger routed to a backend other than its home is read from
+// that backend alone.
 func TestReadFindsRunOnLaterReplica(t *testing.T) {
 	reads := []struct{ name, method, suffix, want string }{
 		{"get", http.MethodGet, "", `"status":"done"`},
 		{"delete", http.MethodDelete, "", `"status":"canceled"`},
 		{"profile", http.MethodGet, "/profile", `"runs"`},
 	}
+	// The walk-past cases need a run homed on b0 of two replicas; the
+	// home case needs its home among three to be neither b0 nor the
+	// ledger case's recorded b0.
+	id := "r-owned"
+	for i := 1; home(id, testReplicas(t, 2)).Name != "b0" || home(id, testReplicas(t, 3)).Name != "b2"; i++ {
+		id = fmt.Sprintf("r-owned-%d", i)
+	}
 	for _, rd := range reads {
 		t.Run(rd.name, func(t *testing.T) {
 			read := func(urls ...string) (*Gate, *httptest.ResponseRecorder) {
 				g := mustGate(t, Config{
 					Backends:      urls,
-					Policy:        PolicyRoundRobin,
 					Seed:          1,
 					ProbeInterval: -1,
 				})
 				rec := httptest.NewRecorder()
-				g.Handler().ServeHTTP(rec, httptest.NewRequest(rd.method, "/v1/runs/r-owned"+rd.suffix, nil))
+				g.Handler().ServeHTTP(rec, httptest.NewRequest(rd.method, "/v1/runs/"+id+rd.suffix, nil))
 				return g, rec
 			}
 			found := func(rec *httptest.ResponseRecorder) {
@@ -471,14 +480,14 @@ func TestReadFindsRunOnLaterReplica(t *testing.T) {
 			}
 
 			// The primary answers 404 at once; b1 owns the run.
-			_, rec := read(readBackend(t, "b0", "", nil).URL, readBackend(t, "b1", "r-owned", nil).URL)
+			_, rec := read(readBackend(t, "b0", "", nil).URL, readBackend(t, "b1", id, nil).URL)
 			found(rec)
 
 			// The primary's listener is closed: the transport error marks
 			// it down and the walk goes on to b1.
-			dead := readBackend(t, "b0", "r-owned", nil)
+			dead := readBackend(t, "b0", id, nil)
 			dead.Close()
-			g, rec := read(dead.URL, readBackend(t, "b1", "r-owned", nil).URL)
+			g, rec := read(dead.URL, readBackend(t, "b1", id, nil).URL)
 			found(rec)
 			if g.Registry().All()[0].Healthy() {
 				t.Fatal("b0 still healthy after a transport error")
@@ -486,20 +495,34 @@ func TestReadFindsRunOnLaterReplica(t *testing.T) {
 
 			// Nobody owns the run: a backend's own 404 body is relayed.
 			_, rec = read(readBackend(t, "b0", "", nil).URL, readBackend(t, "b1", "", nil).URL)
-			if rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), "unknown run r-owned") {
+			if rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), "unknown run "+id) {
 				t.Fatalf("status %d body %s, want the backend's 404", rec.Code, rec.Body.String())
 			}
 
-			// The ledger routed the run away from its ring home: the
+			// Every replica holds the run and the gate has no ledger: the
+			// run's home, b2, is asked first, and no other replica is.
+			var askedHome askLog
+			_, rec = read(
+				readBackend(t, "b0", id, &askedHome).URL,
+				readBackend(t, "b1", id, &askedHome).URL,
+				readBackend(t, "b2", id, &askedHome).URL,
+			)
+			if rec.Code != http.StatusOK || rec.Header().Get(BackendHeader) != "b2" {
+				t.Fatalf("status %d from %q, want 200 from the home b2", rec.Code, rec.Header().Get(BackendHeader))
+			}
+			if got := askedHome.get(); len(got) != 1 || got[0] != "b2" {
+				t.Fatalf("replicas asked %v, want only the home b2", got)
+			}
+
+			// The ledger routed the run away from its home: the
 			// recorded backend is asked first, and no other replica is.
 			var asked askLog
 			g = mustGate(t, Config{
 				Backends: []string{
-					readBackend(t, "b0", "r-owned", &asked).URL,
-					readBackend(t, "b1", "r-owned", &asked).URL,
-					readBackend(t, "b2", "r-owned", &asked).URL,
+					readBackend(t, "b0", id, &asked).URL,
+					readBackend(t, "b1", id, &asked).URL,
+					readBackend(t, "b2", id, &asked).URL,
 				},
-				Policy:            PolicyCacheAffinity,
 				Seed:              1,
 				ProbeInterval:     -1,
 				DataDir:           t.TempDir(),
@@ -507,17 +530,17 @@ func TestReadFindsRunOnLaterReplica(t *testing.T) {
 			})
 			reps := g.Registry().All()
 			recorded := reps[0]
-			if home := g.router.Pick(RouteContext{RunID: "r-owned"}, reps); home == recorded {
+			if home(id, reps) == recorded {
 				recorded = reps[1]
 			}
-			if err := g.Ledger().Admitted("r-owned", "table1", json.RawMessage(`{}`), "batch", 0); err != nil {
+			if err := g.Ledger().Admitted(id, "table1", json.RawMessage(`{}`), "batch", 0); err != nil {
 				t.Fatal(err)
 			}
-			if err := g.Ledger().Routed("r-owned", recorded.Name); err != nil {
+			if err := g.Ledger().Routed(id, recorded.Name); err != nil {
 				t.Fatal(err)
 			}
 			rec = httptest.NewRecorder()
-			g.Handler().ServeHTTP(rec, httptest.NewRequest(rd.method, "/v1/runs/r-owned"+rd.suffix, nil))
+			g.Handler().ServeHTTP(rec, httptest.NewRequest(rd.method, "/v1/runs/"+id+rd.suffix, nil))
 			if rec.Code != http.StatusOK || rec.Header().Get(BackendHeader) != recorded.Name {
 				t.Fatalf("status %d from %q, want 200 from the recorded %s", rec.Code, rec.Header().Get(BackendHeader), recorded.Name)
 			}
@@ -545,7 +568,6 @@ func TestDeadlineExhaustedAtGate(t *testing.T) {
 	b1 := scriptedBackend(t, fail, burn)
 	g := mustGate(t, Config{
 		Backends:         []string{b0.URL, b1.URL},
-		Policy:           PolicyRoundRobin,
 		Seed:             1,
 		ProbeInterval:    -1,
 		Clock:            clock,
@@ -596,7 +618,6 @@ func chaosSequence(t *testing.T, urls []string) (faults, transitions, decisions 
 	var moveLog []BreakerTransition
 	g := mustGate(t, Config{
 		Backends:      urls,
-		Policy:        PolicyRoundRobin,
 		Seed:          1,
 		ProbeInterval: -1,
 		Clock:         clock,
@@ -611,10 +632,13 @@ func chaosSequence(t *testing.T, urls []string) (faults, transitions, decisions 
 	})
 	h := g.Handler()
 	ctx := context.Background()
+	// Submissions alternate between runs homed on b0 and on b1, so both
+	// fault windows meet traffic.
+	homed := homedSeeds(t, 2, 3)
 	for i := 0; i < 24; i++ {
 		clock.Advance(500 * time.Millisecond)
 		g.ProbeAll(ctx)
-		rec := postRun(t, h, submitBody(i%5), nil)
+		rec := postRun(t, h, submitBody(homed[i%2][(i/2)%3]), nil)
 		switch rec.Code {
 		case http.StatusOK, http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
 		default:
@@ -710,7 +734,6 @@ func TestChaosClusterNoLostRuns(t *testing.T) {
 	inj := chaos.New(spec, nil)
 	g := mustGate(t, Config{
 		Backends:         urls,
-		Policy:           PolicyCacheAffinity,
 		Seed:             1,
 		ProbeInterval:    50 * time.Millisecond,
 		ProbeTimeout:     time.Second,

@@ -69,7 +69,7 @@ wait_healthy "http://$A_ADDR" "$APID" "replica b0"
 wait_healthy "http://$B_ADDR" "$BPID" "replica b1"
 
 "$GATE" -addr "$G_ADDR" -backends "http://$A_ADDR,http://$B_ADDR" \
-    -policy cache-affinity -probe-interval 250ms >"$TMP/gate.log" 2>&1 &
+    -probe-interval 250ms >"$TMP/gate.log" 2>&1 &
 GPID=$!
 wait_healthy "$GBASE" "$GPID" "piumagate"
 
@@ -124,7 +124,7 @@ echo "closed-loop run clean: $CCOMPLETED/$CREQUESTS completed"
 
 echo "== check the aggregated gate metrics =="
 METRICS=$(curl -s "$GBASE/metrics")
-echo "$METRICS" | grep -q 'piumagate_routed_total{policy="cache-affinity",backend="b' \
+echo "$METRICS" | grep -q 'piumagate_routed_total{backend="b' \
     || fail "gate metrics missing per-backend routing counters"
 echo "$METRICS" | grep -q 'piumagate_backend_up{backend="b1"} 1' \
     || fail "gate metrics missing scraped backend_up for b1"

@@ -5,9 +5,10 @@
 # polling), then replica b1 is kill -9'd and NEVER restarted. With no
 # client left to drive idempotent resubmission, the gate alone must
 # notice the permanent loss through its own health probes, re-home
-# b1's orphaned runs onto the survivors via the affinity ring, and
-# drain its ledger: every ledger-accepted run reaches a terminal state
-# exactly once, with zero per-replica duplicates.
+# b1's orphaned runs onto their homes among the survivors, and drain
+# its ledger: every ledger-accepted run reaches a terminal state exactly
+# once, with zero per-replica duplicates, and at least one run was
+# re-homed (else the smoke never tested re-homing).
 #
 # Usage: scripts/partition_smoke.sh
 set -euo pipefail
@@ -68,7 +69,7 @@ wait_healthy "http://$B_ADDR" "$BPID" "replica b1"
 wait_healthy "http://$C_ADDR" "$CPID" "replica b2"
 
 "$GATE" -addr "$G_ADDR" -backends "http://$A_ADDR,http://$B_ADDR,http://$C_ADDR" \
-    -policy round-robin -probe-interval 250ms \
+    -probe-interval 250ms \
     -data-dir "$TMP/gate-data" \
     -reconcile-interval 500ms >"$TMP/gate.log" 2>&1 &
 GPID=$!
@@ -136,5 +137,6 @@ echo "$METRICS" | grep -q '^piumagate_reconcile_sweeps_total [1-9]' \
     || fail "gate metrics show no reconcile sweeps"
 echo "$METRICS" | grep -q '^piumagate_backend_probe_failures_total{backend="b1"} [1-9]' \
     || fail "gate metrics show no failed probe of b1 — the gate never saw the loss itself"
+[ "$REHOMED" -ge 1 ] || fail "no run was re-homed — b1 held no open run when it died, so re-homing went untested"
 
-echo "PASS: replica lost forever, no client waiting — ${#RUNIDS[@]} runs terminal exactly once (${REHOMED:-0} re-homed)"
+echo "PASS: replica lost forever, no client waiting — ${#RUNIDS[@]} runs terminal exactly once ($REHOMED re-homed)"
