@@ -68,6 +68,24 @@ func (c *Checkpoint) Lookup(label string) (any, bool) {
 	return p.value, ok
 }
 
+// lookup returns label's stored value when it is an R, the one form a
+// sweep can use, and only then counts the reuse. A restored value that
+// did not decode as its kind misses, and the sweep simulates the point.
+func lookup[R any](c *Checkpoint, label string) (R, bool) {
+	var zero R
+	if c == nil {
+		return zero, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.points[label].value.(R)
+	if !ok {
+		return zero, false
+	}
+	c.reused++
+	return v, true
+}
+
 // Complete records one finished sweep point. summary is a short
 // human-readable digest used when listing checkpointed points in a
 // partial report. Re-completing a label overwrites the value but keeps
@@ -99,8 +117,9 @@ func (c *Checkpoint) Len() int {
 	return len(c.points)
 }
 
-// Reused returns how many lookups hit a completed point — i.e. how much
-// work a resumed run skipped.
+// Reused returns how many completed points were reused — Lookup hits,
+// and sweep points that took a stored value — i.e. how much work a
+// resumed run skipped.
 func (c *Checkpoint) Reused() int {
 	if c == nil {
 		return 0

@@ -2,15 +2,21 @@ package bench
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"piumagcn/internal/faults"
+	"piumagcn/internal/graph"
+	"piumagcn/internal/obs"
 	"piumagcn/internal/piuma"
+	"piumagcn/internal/piuma/kernels"
 	"piumagcn/internal/sim"
 )
 
@@ -22,16 +28,30 @@ func setGOMAXPROCS(t *testing.T, n int) {
 }
 
 // synthPoints returns n sweep points of mixed size: most are small
-// enough to share the budget of the largest, some are as large.
+// enough to share the budget of the largest, some are as large. Each
+// has its own K, so no two share content and every one is run.
 func synthPoints(n int) []point {
 	cores := []int{1, 2, 1, 8, 1, 4, 2, 1}
 	pts := make([]point, n)
 	for i := range pts {
 		cfg := piuma.DefaultConfig()
 		cfg.Cores = cores[i%len(cores)]
-		pts[i] = point{label: fmt.Sprintf("p%02d", i), cfg: cfg}
+		pts[i] = point{label: fmt.Sprintf("p%02d", i), cfg: cfg, k: i}
 	}
 	return pts
+}
+
+// countSimulations makes the kernel sweeps count the points they
+// simulate, until the test ends.
+func countSimulations(tb testing.TB) *atomic.Int64 {
+	var n atomic.Int64
+	simulate := runKernel
+	tb.Cleanup(func() { runKernel = simulate })
+	runKernel = func(kind kernels.Kind, cfg piuma.Config, fs *faults.Spec, g *graph.CSR, k int, tr sim.Tracer) (kernels.Result, error) {
+		n.Add(1)
+		return simulate(kind, cfg, fs, g, k, tr)
+	}
+	return &n
 }
 
 // echo summarizes a synthetic result, the point's label, as itself.
@@ -153,7 +173,7 @@ func TestSweepProcessBudget(t *testing.T) {
 	// the other to start, which a serial sweep would never allow.
 	small, large := piuma.DefaultConfig(), piuma.DefaultConfig()
 	small.Cores, large.Cores = 1, 2
-	pair := []point{{label: "a", cfg: small}, {label: "b", cfg: small}, {label: "c", cfg: large}}
+	pair := []point{{label: "a", cfg: small, k: 1}, {label: "b", cfg: small, k: 2}, {label: "c", cfg: large, k: 3}}
 	var arrived atomic.Int32
 	both := make(chan struct{})
 	rendezvous := func(p point, _ sim.Tracer) (string, error) {
@@ -229,4 +249,187 @@ func TestSweepCancelAndResume(t *testing.T) {
 	if got.String() != baseline.String() {
 		t.Fatalf("resumed report differs:\n--- baseline ---\n%s\n--- resumed ---\n%s", baseline, got)
 	}
+}
+
+// TestSweepReusesDuplicatePoints: points of equal content are run once.
+// A repeat is committed in sweep order under its own label, summary and
+// observer call, and its profiler run carries its twin's activity under
+// its own label. A twin restored from the checkpoint is simulated, not
+// reused, and a failing first occurrence commits nothing after it.
+func TestSweepReusesDuplicatePoints(t *testing.T) {
+	// Points are told apart by K alone; the largest leaves the others
+	// room to run side by side.
+	ks := []int{1, 2, 1, 3, 2, 1, 4}
+	pts := make([]point, len(ks))
+	twin := make([]int, len(ks)) // the first point of each point's content
+	firstOf := map[int]int{}
+	for i, k := range ks {
+		cfg := piuma.DefaultConfig()
+		cfg.Cores = 1 + 3*(k/4)
+		pts[i] = point{label: fmt.Sprintf("p%d k=%d", i, k), cfg: cfg, k: k}
+		if _, ok := firstOf[k]; !ok {
+			firstOf[k] = i
+		}
+		twin[i] = firstOf[k]
+	}
+	want := make([]string, len(ks))
+	for i, k := range ks {
+		want[i] = fmt.Sprintf("k=%d", k)
+	}
+	// sweepOnce runs pts once, failing the points of K failK, and
+	// returns the sweep's results, the run calls per K and its error.
+	sweepOnce := func(ctx context.Context, failK int) ([]string, map[int]int, error) {
+		var mu sync.Mutex
+		calls := map[int]int{}
+		run := func(p point, tr sim.Tracer) (string, error) {
+			mu.Lock()
+			calls[p.k]++
+			mu.Unlock()
+			runtime.Gosched()
+			if tr != nil {
+				d := sim.Time(p.k) * sim.Nanosecond
+				tr.Event(d)
+				tr.Reserve(fmt.Sprintf("slice%d", p.k), 0, d)
+				tr.Span("t0", "startup", d, 2*d)
+			}
+			if p.k == failK {
+				return "", fmt.Errorf("k=%d failed", p.k)
+			}
+			return fmt.Sprintf("k=%d", p.k), nil
+		}
+		res, err := sweep(ctx, pts, run, echo)
+		return res, calls, err
+	}
+
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d/reuse", procs), func(t *testing.T) {
+			setGOMAXPROCS(t, procs)
+			cp := NewCheckpoint()
+			var observed []Point
+			cp.SetObserver(func(p Point) { observed = append(observed, p) })
+			prof := obs.NewProfiler(obs.ProfilerOptions{})
+			res, calls, err := sweepOnce(WithCheckpoint(obs.NewContext(context.Background(), prof), cp), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := map[int]int{1: 1, 2: 1, 3: 1, 4: 1}; !reflect.DeepEqual(calls, want) {
+				t.Fatalf("run calls per K = %v, want one per content %v", calls, want)
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Fatalf("results %v, want %v", res, want)
+			}
+			if len(observed) != len(pts) {
+				t.Fatalf("observer saw %d points, want %d", len(observed), len(pts))
+			}
+			for i, p := range observed {
+				if p.Label != pts[i].label || p.Summary != want[i] {
+					t.Fatalf("observed point %d = %s: %q, want %s: %q", i, p.Label, p.Summary, pts[i].label, want[i])
+				}
+			}
+			if !reflect.DeepEqual(checkpointLabels(cp), pointLabels(pts)) {
+				t.Fatalf("checkpoint order %v, want %v", checkpointLabels(cp), pointLabels(pts))
+			}
+			if cp.Reused() != 0 {
+				t.Fatalf("content reuse counted %d checkpoint reuses", cp.Reused())
+			}
+			stats := prof.Stats()
+			if len(stats) != len(pts) {
+				t.Fatalf("%d profiler runs, want %d", len(stats), len(pts))
+			}
+			for i, s := range stats {
+				if s.Label != pts[i].label || s.Events != 1 {
+					t.Fatalf("profiler run %d = %s with %d events, want %s with 1", i, s.Label, s.Events, pts[i].label)
+				}
+				src := stats[twin[i]]
+				s.Label = src.Label
+				if !reflect.DeepEqual(s, src) {
+					t.Fatalf("profiler run %s differs from its twin's:\n%+v\n%+v", pts[i].label, s, src)
+				}
+			}
+		})
+		t.Run(fmt.Sprintf("procs=%d/restored-twin", procs), func(t *testing.T) {
+			setGOMAXPROCS(t, procs)
+			cp := NewCheckpoint()
+			cp.Complete(pts[0].label, want[0], want[0])
+			res, calls, err := sweepOnce(WithCheckpoint(context.Background(), cp), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if calls[1] != 1 || cp.Reused() != 1 {
+				t.Fatalf("K=1 ran %d times with %d checkpoint reuses, want its unrestored points run once and 1 reuse", calls[1], cp.Reused())
+			}
+			if !reflect.DeepEqual(res, want) || !reflect.DeepEqual(checkpointLabels(cp), pointLabels(pts)) {
+				t.Fatalf("results %v in checkpoint order %v", res, checkpointLabels(cp))
+			}
+		})
+		t.Run(fmt.Sprintf("procs=%d/failing-first", procs), func(t *testing.T) {
+			setGOMAXPROCS(t, procs)
+			cp := NewCheckpoint()
+			res, calls, err := sweepOnce(WithCheckpoint(context.Background(), cp), 2)
+			if err == nil || err.Error() != "k=2 failed" || res != nil {
+				t.Fatalf("sweep returned %v, %v; want the first occurrence's error", res, err)
+			}
+			if calls[2] != 1 {
+				t.Fatalf("the failing content ran %d times", calls[2])
+			}
+			if got, want := checkpointLabels(cp), pointLabels(pts[:1]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("checkpoint = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestSweepSimulatesUndecodableRestoredPoint: a restored point whose
+// value does not decode as its kind is simulated, and is not counted as
+// reused.
+func TestSweepSimulatesUndecodableRestoredPoint(t *testing.T) {
+	cp := NewCheckpoint()
+	cp.Restore([]Point{{Label: "p", Kind: kindResult, Value: json.RawMessage(`"not a result"`), Summary: "stale"}})
+	calls := 0
+	run := func(p point, _ sim.Tracer) (kernels.Result, error) {
+		calls++
+		return kernels.Result{K: p.k}, nil
+	}
+	res, err := sweep(WithCheckpoint(context.Background(), cp), []point{{label: "p", k: 8}}, run,
+		func(kernels.Result) string { return "fresh" })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 || res[0].K != 8 {
+		t.Fatalf("run called %d times, result %+v; want the point simulated once", calls, res[0])
+	}
+	if cp.Reused() != 0 {
+		t.Fatalf("Reused = %d for a point the sweep could not use", cp.Reused())
+	}
+	if pts := cp.Points(); len(pts) != 1 || pts[0].Summary != "fresh" {
+		t.Fatalf("checkpoint = %+v, want the simulated point", pts)
+	}
+}
+
+// BenchmarkSweepDMA runs fig6 then fig7 at the 2^13 cap and seed 7,
+// untraced and each with a fresh checkpoint, as one pass of perfbench's
+// dma-sweep workload does, and reports the points simulated per op.
+func BenchmarkSweepDMA(b *testing.B) {
+	o := Options{MaxSimEdges: 1 << 13, Seed: 7}
+	var exps []Experiment
+	for _, id := range []string{"fig6", "fig7"} {
+		e, err := ByID(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		exps = append(exps, e)
+	}
+	if _, err := simGraph(o); err != nil {
+		b.Fatal(err)
+	}
+	sims := countSimulations(b)
+	b.ResetTimer()
+	for range b.N {
+		for _, e := range exps {
+			if _, err := e.Run(WithCheckpoint(context.Background(), NewCheckpoint()), o); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(sims.Load())/float64(b.N), "points/op")
 }

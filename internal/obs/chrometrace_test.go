@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -189,5 +190,36 @@ func TestChromeTraceDeterministicForIdenticalRuns(t *testing.T) {
 	}
 	if !strings.Contains(a, `"cat":"dram-slice"`) {
 		t.Fatalf("trace missing slice spans:\n%s", a)
+	}
+}
+
+// TestReplayMatchesARepeatedRun: a run that replays a finished run
+// exports and summarizes exactly as a second simulation of the same
+// machine would, under its own label.
+func TestReplayMatchesARepeatedRun(t *testing.T) {
+	export := func(p *Profiler) string {
+		var buf bytes.Buffer
+		if err := p.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	simulated := NewProfiler(ProfilerOptions{})
+	driveRun(t, simulated.StartRun("first"))
+	driveRun(t, simulated.StartRun("again"))
+
+	replayed := NewProfiler(ProfilerOptions{})
+	src := replayed.StartRun("first")
+	driveRun(t, src)
+	replayed.StartRun("again").Replay(src)
+
+	if a, b := export(simulated), export(replayed); a != b {
+		t.Fatalf("replayed trace differs from a repeated run:\n%s\n---\n%s", a, b)
+	}
+	if a, b := simulated.Summary(), replayed.Summary(); a != b {
+		t.Fatalf("replayed summary differs:\n%s\n---\n%s", a, b)
+	}
+	if a, b := simulated.Stats(), replayed.Stats(); !reflect.DeepEqual(a, b) || b[1].Label != "again" {
+		t.Fatalf("replayed stats differ:\n%+v\n%+v", a, b)
 	}
 }

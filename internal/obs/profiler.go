@@ -207,6 +207,16 @@ type spanRec struct {
 	async      bool
 }
 
+// Replay makes rt carry src's recorded activity under rt's own label,
+// for a run whose simulation is identical to src's and was not
+// repeated. src must have finished; the two share its records, so
+// neither may record any more.
+func (rt *RunTrace) Replay(src *RunTrace) {
+	label := rt.label
+	*rt = *src
+	rt.label = label
+}
+
 func (rt *RunTrace) component(track string) *component {
 	c, ok := rt.compsByName[track]
 	if !ok {
